@@ -11,8 +11,6 @@
 //! automatically as attributes change, so the map is always minimal: no
 //! two adjacent entries have equal flags.
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 
 /// Conventional attribute flags (clients may define their own space;

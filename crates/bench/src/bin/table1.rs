@@ -6,25 +6,26 @@
 //! native-FreeBSD sender with the system under test.  Default run is
 //! 16 MB per cell; `--paper` uses the paper's full 131072×4096 B = 512 MB.
 //!
-//! `--boundaries` appends the per-boundary breakdown from the trace
-//! layer: which glue seam each copy and crossing was charged at
-//! (requires the default `trace` feature).
+//! `--boundaries` appends the per-boundary breakdown from the machine's
+//! ledger: which glue seam each copy and crossing was charged at.
 //!
 //! `--napi` appends the receive-path ablation: the OSKit configuration
 //! rerun with the driver in `NETIF_F_NAPI` mode (NIC interrupt
 //! mitigation + budgeted rx polling), printing the rx IRQ/poll mechanics
-//! next to the default interrupt-per-frame numbers (requires the default
-//! `napi` feature).
+//! next to the default interrupt-per-frame numbers.
 //!
 //! `--faults` appends the robustness ablation: the OSKit configuration
 //! rerun under a seeded fault plan (frame drops, transmitter wedges,
 //! failing interrupt-level allocations, lost IRQs), printing the
 //! injection/recovery ledger.  The transfer is still byte-exact — the
 //! harness asserts it — so the row quantifies the throughput cost of
-//! surviving the faults (requires the default `fault` feature).
+//! surviving the faults.
+//!
+//! The process exits non-zero if any shape check prints `[FAIL]`.
 
 use oskit::machine::{AllocFaults, FaultPlan, IrqFaults, NicFaults};
 use oskit::{ttcp_run_faulted, ttcp_run_mixed, NetConfig};
+use oskit_bench::{check, exit_on_failed_checks};
 
 fn main() {
     let paper = std::env::args().any(|a| a == "--paper");
@@ -102,153 +103,164 @@ fn main() {
             "  mechanics: SG sender copied {} B, gathered {} B ({} gathers).",
             send.sender.bytes_copied, send.sender.bytes_gathered, send.sender.gathers
         );
-        if oskit::machine::Tracer::enabled() {
-            check(
-                "zero bytes copied at linux-dev::ether_tx under SG",
-                send.sender_boundaries
-                    .get("linux-dev", "ether_tx")
-                    .map(|b| b.bytes_copied == 0 && b.gathers > 0)
-                    .unwrap_or(false),
-            );
-            if boundaries {
-                println!("\nper-boundary breakdown (OSKit SG sender, send path):");
-                print!("{}", send.sender_boundaries);
-            }
+        check(
+            "zero bytes copied at linux-dev::ether_tx under SG",
+            send.sender_boundaries
+                .get("linux-dev", "ether_tx")
+                .map(|b| b.bytes_copied == 0 && b.gathers > 0)
+                .unwrap_or(false),
+        );
+        if boundaries {
+            println!("\nper-boundary breakdown (OSKit SG sender, send path):");
+            print!("{}", send.sender_boundaries);
         }
     }
 
     if napi {
-        if !oskit::linux_dev::NetDevice::napi_compiled() {
-            println!("\n--napi: napi feature is compiled out; rebuild with default features.");
-        } else {
-            // Receive-path ablation, printed after (never instead of) the
-            // paper table: same stack, same glue, but the NIC coalesces rx
-            // interrupts and the driver drains the ring with budgeted polls.
-            let send = ttcp_run_mixed(NetConfig::oskit().napi(true), NetConfig::freebsd(), blocks, bs);
-            let recv = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::oskit().napi(true), blocks, bs);
-            println!("\nNAPI ablation (--napi, not a paper configuration):");
-            println!(
-                "{:18} {:>10.2} {:>10.2}",
-                NetConfig::oskit().napi(true).name(),
-                send.mbit_s,
-                recv.mbit_s
-            );
-            let base = &rows[2].2.receiver; // Default OSKit, receive run.
-            let frames = recv.receiver.packets_received;
-            check(
-                "receive IRQ count cut >= 4x at full burst",
-                recv.receiver.rx_irqs > 0 && base.rx_irqs >= 4 * recv.receiver.rx_irqs,
-            );
-            // "No worse" with a 0.5% allowance: the handful of slow-start
-            // and tail-of-transfer pauses each pay the 150 µs packet-timer
-            // window (~2 ms over a 1.4 s transfer); steady-state batching
-            // never stalls the wire.
-            check(
-                "receive bandwidth no worse than the default path (0.5%)",
-                recv.mbit_s >= oskit_recv * 0.995,
-            );
-            check(
-                "every received frame came up through a budgeted poll",
-                recv.receiver.rx_polls > 0 && recv.receiver.rx_batch_frames == frames,
-            );
-            println!(
-                "  mechanics: NAPI receiver took {} rx IRQs for {} frames ({} polls, avg batch {:.1});",
-                recv.receiver.rx_irqs,
-                frames,
-                recv.receiver.rx_polls,
-                recv.receiver.rx_batch_frames as f64 / recv.receiver.rx_polls.max(1) as f64
-            );
-            println!(
-                "             default OSKit receiver took {} rx IRQs for {} frames.",
-                base.rx_irqs, base.packets_received
-            );
-            if boundaries && oskit::machine::Tracer::enabled() {
-                println!("\nper-boundary breakdown (OSKit NAPI receiver, receive path):");
-                print!("{}", recv.receiver_boundaries);
-            }
+        // Receive-path ablation, printed after (never instead of) the
+        // paper table: same stack, same glue, but the NIC coalesces rx
+        // interrupts and the driver drains the ring with budgeted polls.
+        let send = ttcp_run_mixed(
+            NetConfig::oskit().napi(true),
+            NetConfig::freebsd(),
+            blocks,
+            bs,
+        );
+        let recv = ttcp_run_mixed(
+            NetConfig::freebsd(),
+            NetConfig::oskit().napi(true),
+            blocks,
+            bs,
+        );
+        println!("\nNAPI ablation (--napi, not a paper configuration):");
+        println!(
+            "{:18} {:>10.2} {:>10.2}",
+            NetConfig::oskit().napi(true).name(),
+            send.mbit_s,
+            recv.mbit_s
+        );
+        let base = &rows[2].2.receiver; // Default OSKit, receive run.
+        let frames = recv.receiver.packets_received;
+        check(
+            "receive IRQ count cut >= 4x at full burst",
+            recv.receiver.rx_irqs > 0 && base.rx_irqs >= 4 * recv.receiver.rx_irqs,
+        );
+        // "No worse" with a 0.5% allowance: the handful of slow-start
+        // and tail-of-transfer pauses each pay the 150 µs packet-timer
+        // window (~2 ms over a 1.4 s transfer); steady-state batching
+        // never stalls the wire.
+        check(
+            "receive bandwidth no worse than the default path (0.5%)",
+            recv.mbit_s >= oskit_recv * 0.995,
+        );
+        check(
+            "every received frame came up through a budgeted poll",
+            recv.receiver.rx_polls > 0 && recv.receiver.rx_batch_frames == frames,
+        );
+        println!(
+            "  mechanics: NAPI receiver took {} rx IRQs for {} frames ({} polls, avg batch {:.1});",
+            recv.receiver.rx_irqs,
+            frames,
+            recv.receiver.rx_polls,
+            recv.receiver.rx_batch_frames as f64 / recv.receiver.rx_polls.max(1) as f64
+        );
+        println!(
+            "             default OSKit receiver took {} rx IRQs for {} frames.",
+            base.rx_irqs, base.packets_received
+        );
+        if boundaries {
+            println!("\nper-boundary breakdown (OSKit NAPI receiver, receive path):");
+            print!("{}", recv.receiver_boundaries);
         }
     }
 
     if sg && napi {
-        if !oskit::linux_dev::NetDevice::napi_compiled() {
-            println!("\n--sg --napi: napi feature is compiled out; rebuild with default features.");
-        } else {
-            // Stacked ablation, printed after (never instead of) the
-            // single-feature blocks: the builder composes both knobs on
-            // one driver — gathered transmit and polled receive at once.
-            let cfg = NetConfig::oskit().sg(true).napi(true);
-            let send = ttcp_run_mixed(cfg, NetConfig::freebsd(), blocks, bs);
-            let recv = ttcp_run_mixed(NetConfig::freebsd(), cfg, blocks, bs);
-            println!("\nstacked ablation (--sg --napi, features compose):");
-            println!("{:18} {:>10.2} {:>10.2}", cfg.name(), send.mbit_s, recv.mbit_s);
-            check(
-                "stacked sender still gathers instead of copying",
-                send.sender.gathers > 0 && send.sender.bytes_gathered >= send.bytes,
-            );
-            check(
-                "stacked receiver still drains the ring with budgeted polls",
-                recv.receiver.rx_polls > 0
-                    && recv.receiver.rx_batch_frames == recv.receiver.packets_received,
-            );
-            check(
-                "stacking loses nothing: send >= SG-only shape, recv >= NAPI-only shape (1%)",
-                send.mbit_s >= 90.0 && recv.mbit_s >= oskit_recv * 0.99,
-            );
-        }
+        // Stacked ablation, printed after (never instead of) the
+        // single-feature blocks: the builder composes both knobs on
+        // one driver — gathered transmit and polled receive at once.
+        let cfg = NetConfig::oskit().sg(true).napi(true);
+        let send = ttcp_run_mixed(cfg, NetConfig::freebsd(), blocks, bs);
+        let recv = ttcp_run_mixed(NetConfig::freebsd(), cfg, blocks, bs);
+        println!("\nstacked ablation (--sg --napi, features compose):");
+        println!(
+            "{:18} {:>10.2} {:>10.2}",
+            cfg.name(),
+            send.mbit_s,
+            recv.mbit_s
+        );
+        check(
+            "stacked sender still gathers instead of copying",
+            send.sender.gathers > 0 && send.sender.bytes_gathered >= send.bytes,
+        );
+        check(
+            "stacked receiver still drains the ring with budgeted polls",
+            recv.receiver.rx_polls > 0
+                && recv.receiver.rx_batch_frames == recv.receiver.packets_received,
+        );
+        check(
+            "stacking loses nothing: send >= SG-only shape, recv >= NAPI-only shape (1%)",
+            send.mbit_s >= 90.0 && recv.mbit_s >= oskit_recv * 0.99,
+        );
     }
 
     if faults {
-        if !oskit::machine::FaultInjector::enabled() {
-            println!("\n--faults: fault feature is compiled out; rebuild with default features.");
-        } else {
-            // Robustness ablation, printed after (never instead of) the
-            // paper table: the OSKit rows rerun under a seeded fault plan.
-            // Throughput drops; correctness may not — ttcp_run_faulted
-            // asserts the transfer is byte-exact.
-            let plan = FaultPlan::new(0x0a51_c0de)
-                .nic(NicFaults {
-                    drop_per_mille: 5,
-                    burst_len: 2,
-                    // Not a round number: a period dividing TCP's 3 s
-                    // retransmit schedule would park every SYN retry
-                    // inside the wedge window (see tests/fault_soak.rs).
-                    wedge_period_ns: 83_000_009,
-                    wedge_duration_ns: 1_500_000,
-                    ..NicFaults::default()
-                })
-                .alloc(AllocFaults {
-                    fail_per_mille: 1,
-                    atomic_fail_per_mille: 2,
-                })
-                .irq(IrqFaults { lose_per_mille: 1 });
-            let send = ttcp_run_faulted(NetConfig::oskit(), NetConfig::freebsd(), blocks, bs, Some(plan));
-            let recv = ttcp_run_faulted(NetConfig::freebsd(), NetConfig::oskit(), blocks, bs, Some(plan));
-            println!("\nfault ablation (--faults, seed 0x0a51c0de, byte-exact transfers):");
-            println!("{:18} {:>10.2} {:>10.2}", "OSKit (faults)", send.mbit_s, recv.mbit_s);
-            let injected =
-                send.sender_faults.total_injected() + send.receiver_faults.total_injected();
-            check("fault plan actually fired on the send run", injected > 0);
-            check(
-                "faulted throughput is below the clean OSKit row",
-                send.mbit_s < oskit_send && recv.mbit_s < oskit_recv,
-            );
-            check(
-                "no block-layer involvement in a pure network run",
-                send.sender_faults.blk_hard_failures == 0
-                    && recv.receiver_faults.blk_hard_failures == 0,
-            );
-            println!("send-run sender ledger:");
-            print!("{}", send.sender_faults);
-            println!("send-run receiver ledger:");
-            print!("{}", send.receiver_faults);
-        }
+        // Robustness ablation, printed after (never instead of) the
+        // paper table: the OSKit rows rerun under a seeded fault plan.
+        // Throughput drops; correctness may not — ttcp_run_faulted
+        // asserts the transfer is byte-exact.
+        let plan = FaultPlan::new(0x0a51_c0de)
+            .nic(NicFaults {
+                drop_per_mille: 5,
+                burst_len: 2,
+                // Not a round number: a period dividing TCP's 3 s
+                // retransmit schedule would park every SYN retry
+                // inside the wedge window (see tests/fault_soak.rs).
+                wedge_period_ns: 83_000_009,
+                wedge_duration_ns: 1_500_000,
+                ..NicFaults::default()
+            })
+            .alloc(AllocFaults {
+                fail_per_mille: 1,
+                atomic_fail_per_mille: 2,
+            })
+            .irq(IrqFaults { lose_per_mille: 1 });
+        let send = ttcp_run_faulted(
+            NetConfig::oskit(),
+            NetConfig::freebsd(),
+            blocks,
+            bs,
+            Some(plan),
+        );
+        let recv = ttcp_run_faulted(
+            NetConfig::freebsd(),
+            NetConfig::oskit(),
+            blocks,
+            bs,
+            Some(plan),
+        );
+        println!("\nfault ablation (--faults, seed 0x0a51c0de, byte-exact transfers):");
+        println!(
+            "{:18} {:>10.2} {:>10.2}",
+            "OSKit (faults)", send.mbit_s, recv.mbit_s
+        );
+        let injected = send.sender_faults.total_injected() + send.receiver_faults.total_injected();
+        check("fault plan actually fired on the send run", injected > 0);
+        check(
+            "faulted throughput is below the clean OSKit row",
+            send.mbit_s < oskit_send && recv.mbit_s < oskit_recv,
+        );
+        check(
+            "no block-layer involvement in a pure network run",
+            send.sender_faults.blk_hard_failures == 0
+                && recv.receiver_faults.blk_hard_failures == 0,
+        );
+        println!("send-run sender ledger:");
+        print!("{}", send.sender_faults);
+        println!("send-run receiver ledger:");
+        print!("{}", send.receiver_faults);
     }
 
     if boundaries {
-        if !oskit::machine::Tracer::enabled() {
-            println!("\n--boundaries: trace feature is compiled out; rebuild with default features.");
-            return;
-        }
         let (_, send, recv) = &rows[2];
         println!("\nper-boundary breakdown (OSKit sender, send path):");
         print!("{}", send.sender_boundaries);
@@ -272,14 +284,6 @@ fn main() {
                 .all(|b| b.bytes_copied == 0 || (b.component, b.name) == ("freebsd-net", "sockbuf"))
                 && recv.receiver.bytes_copied == rows[1].2.receiver.bytes_copied,
         );
-        check(
-            "per-boundary crossings sum to the aggregate meter",
-            send.sender_boundaries.total_crossings() == send.sender.crossings
-                && send.sender_boundaries.total_bytes_copied() == send.sender.bytes_copied,
-        );
     }
-}
-
-fn check(what: &str, ok: bool) {
-    println!("  [{}] {}", if ok { "ok" } else { "FAIL" }, what);
+    exit_on_failed_checks();
 }

@@ -4,15 +4,18 @@
 
 //! `--boundaries` appends the per-boundary crossing breakdown for the
 //! OSKit client — *which* glue seams the Table 2 latency overhead is
-//! paid at (requires the default `trace` feature).
+//! paid at.
 //!
 //! `--napi` appends the receive-path ablation: the OSKit configuration
 //! rerun with NIC interrupt mitigation + budgeted polling.  Latency is
 //! where mitigation *loses* — a lone packet waits out the coalesce
 //! delay — so this row quantifies the price table1's `--napi` bandwidth
 //! row pays for its IRQ reduction.
+//!
+//! The process exits non-zero if any shape check prints `[FAIL]`.
 
 use oskit::{rtcp_run, NetConfig};
+use oskit_bench::{exit_on_failed_checks, mark};
 
 fn main() {
     let boundaries = std::env::args().any(|a| a == "--boundaries");
@@ -48,9 +51,7 @@ fn main() {
         }
     }
     if boundaries {
-        if !oskit::machine::Tracer::enabled() {
-            println!("\n--boundaries: trace feature is compiled out; rebuild with default features.");
-        } else if let Some(report) = &oskit_breakdown {
+        if let Some(report) = &oskit_breakdown {
             println!("\nper-boundary breakdown (OSKit client): where the glue crossings land");
             print!("{report}");
         }
@@ -59,7 +60,7 @@ fn main() {
     let ok = oskit > bsd;
     println!(
         "  [{}] OSKit imposes overhead over FreeBSD: +{:.1} us/RT, \"largely",
-        if ok { "ok" } else { "FAIL" },
+        mark(ok),
         oskit - bsd
     );
     println!("       attributable to the additional glue code ... the price we pay");
@@ -68,10 +69,6 @@ fn main() {
     println!("       protocol mbuf, enabling mapping into a driver skbuff.");
 
     if napi {
-        if !oskit::linux_dev::NetDevice::napi_compiled() {
-            println!("\n--napi: napi feature is compiled out; rebuild with default features.");
-            return;
-        }
         let r = rtcp_run(NetConfig::oskit().napi(true), round_trips);
         println!("\nNAPI ablation (--napi, not a paper configuration):");
         println!(
@@ -84,7 +81,7 @@ fn main() {
         let delta = r.rtt_us - oskit;
         println!(
             "  [{}] interrupt mitigation trades latency for IRQ count: +{:.1} us/RT",
-            if delta > 0.0 { "ok" } else { "FAIL" },
+            mark(delta > 0.0),
             delta
         );
         println!("       over the default OSKit row.  A lone packet sits on the ring");
@@ -110,11 +107,12 @@ fn main() {
             let delta = (r.rtt_us - oskit).abs();
             println!(
                 "  [{}] SG is latency-neutral: |Δ| = {:.1} us/RT vs the default",
-                if delta < 1.0 { "ok" } else { "FAIL" },
+                mark(delta < 1.0),
                 delta
             );
             println!("       OSKit row — one-byte segments never fragment, so the");
             println!("       gather path is simply never taken.");
         }
     }
+    exit_on_failed_checks();
 }

@@ -17,12 +17,14 @@
 //!   work shows up as gathers instead.
 //!
 //! The client byte-verifies the payload, so the sendfile row is also an
-//! end-to-end correctness proof for the lent-page path.  With the
-//! default `trace` feature, checks pin the zero-copy claim to the exact
-//! boundaries: 0 bytes copied at `freebsd-net::sockbuf` and
-//! `linux-dev::ether_tx`.  `--boundaries` prints the full breakdown.
+//! end-to-end correctness proof for the lent-page path.  Checks pin the
+//! zero-copy claim to the exact boundaries: 0 bytes copied at
+//! `freebsd-net::sockbuf` and `linux-dev::ether_tx`.  `--boundaries`
+//! prints the full breakdown.  The process exits non-zero if any shape
+//! check prints `[FAIL]`.
 
 use oskit::{fileserve_run, FileServeResult, ServeMode};
+use oskit_bench::{check, exit_on_failed_checks};
 
 fn main() {
     let paper = std::env::args().any(|a| a == "--paper");
@@ -81,50 +83,51 @@ fn main() {
         warm.server.bytes_copied >= 2 * warm.bytes,
     );
 
-    if oskit::machine::Tracer::enabled() {
-        fn at<'a>(
-            r: &'a FileServeResult,
-            c: &str,
-            b: &str,
-        ) -> Option<&'a oskit::machine::BoundaryMetrics> {
-            r.server_boundaries.get(c, b)
-        }
-        check(
-            "0 bytes copied at freebsd-net::sockbuf on the sendfile path",
-            at(sendfile, "freebsd-net", "sockbuf")
-                .map(|b| b.bytes_copied == 0 && b.bytes_gathered >= sendfile.bytes)
-                .unwrap_or(false),
-        );
-        check(
-            "0 bytes copied at linux-dev::ether_tx on the sendfile path",
-            at(sendfile, "linux-dev", "ether_tx")
-                .map(|b| b.bytes_copied == 0 && b.gathers > 0)
-                .unwrap_or(false),
-        );
-        check(
-            "0 bytes copied at netbsd-fs::fs_read on the sendfile path",
-            at(sendfile, "netbsd-fs", "fs_read")
-                .map(|b| b.bytes_copied == 0)
-                .unwrap_or(true),
-        );
-        check(
-            "copy rows pay fs_read + sockbuf + ether_tx in full",
-            ["netbsd-fs::fs_read", "freebsd-net::sockbuf", "linux-dev::ether_tx"]
-                .iter()
-                .all(|s| {
-                    let (c, b) = s.split_once("::").unwrap();
-                    at(warm, c, b).map(|x| x.bytes_copied >= warm.bytes).unwrap_or(false)
-                }),
-        );
-        if boundaries {
-            println!("\nper-boundary breakdown (warm copy server):");
-            print!("{}", warm.server_boundaries);
-            println!("\nper-boundary breakdown (sendfile server):");
-            print!("{}", sendfile.server_boundaries);
-        }
+    fn at<'a>(
+        r: &'a FileServeResult,
+        c: &str,
+        b: &str,
+    ) -> Option<&'a oskit::machine::BoundaryMetrics> {
+        r.server_boundaries.get(c, b)
     }
-}
-
-fn check(what: &str, ok: bool) {
-    println!("  [{}] {}", if ok { "ok" } else { "FAIL" }, what);
+    check(
+        "0 bytes copied at freebsd-net::sockbuf on the sendfile path",
+        at(sendfile, "freebsd-net", "sockbuf")
+            .map(|b| b.bytes_copied == 0 && b.bytes_gathered >= sendfile.bytes)
+            .unwrap_or(false),
+    );
+    check(
+        "0 bytes copied at linux-dev::ether_tx on the sendfile path",
+        at(sendfile, "linux-dev", "ether_tx")
+            .map(|b| b.bytes_copied == 0 && b.gathers > 0)
+            .unwrap_or(false),
+    );
+    check(
+        "0 bytes copied at netbsd-fs::fs_read on the sendfile path",
+        at(sendfile, "netbsd-fs", "fs_read")
+            .map(|b| b.bytes_copied == 0)
+            .unwrap_or(true),
+    );
+    check(
+        "copy rows pay fs_read + sockbuf + ether_tx in full",
+        [
+            "netbsd-fs::fs_read",
+            "freebsd-net::sockbuf",
+            "linux-dev::ether_tx",
+        ]
+        .iter()
+        .all(|s| {
+            let (c, b) = s.split_once("::").unwrap();
+            at(warm, c, b)
+                .map(|x| x.bytes_copied >= warm.bytes)
+                .unwrap_or(false)
+        }),
+    );
+    if boundaries {
+        println!("\nper-boundary breakdown (warm copy server):");
+        print!("{}", warm.server_boundaries);
+        println!("\nper-boundary breakdown (sendfile server):");
+        print!("{}", sendfile.server_boundaries);
+    }
+    exit_on_failed_checks();
 }

@@ -15,6 +15,32 @@
 //! cost, and bufio map-vs-copy.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+static CHECK_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// The `[ok]`/`[FAIL]` mark of one shape check; a failure is remembered
+/// so [`exit_on_failed_checks`] can fail the process.
+pub fn mark(ok: bool) -> &'static str {
+    if ok {
+        "ok"
+    } else {
+        CHECK_FAILED.store(true, Ordering::Relaxed);
+        "FAIL"
+    }
+}
+
+/// Prints one shape check as `  [ok] what` or `  [FAIL] what`.
+pub fn check(what: &str, ok: bool) {
+    println!("  [{}] {}", mark(ok), what);
+}
+
+/// Exits with status 1 if any shape check printed `[FAIL]`.
+pub fn exit_on_failed_checks() {
+    if CHECK_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
+    }
+}
 
 /// The paper's "filtered" source-line rule (Table 3 caption): "filters out
 /// comments, blank lines, preprocessor directives, and punctuation-only
@@ -119,7 +145,7 @@ mod tests {
         assert!(!is_counted_line("/// doc"));
         assert!(!is_counted_line("//! module doc"));
         assert!(!is_counted_line("#[derive(Debug)]"));
-        assert!(!is_counted_line("#![forbid(unsafe_code)]"));
+        assert!(!is_counted_line("#![warn(missing_docs)]"));
         assert!(!is_counted_line("}"));
         assert!(!is_counted_line("});"));
         assert!(!is_counted_line("],"));

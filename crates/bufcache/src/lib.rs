@@ -21,7 +21,6 @@
 //! first; a write-back failure re-inserts the block rather than losing
 //! data.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
@@ -229,9 +228,8 @@ impl BufCache {
         }
     }
 
-    /// Attaches the machine whose [`WorkMeter`](oskit_machine::WorkMeter)
-    /// and trace boundary (`bufcache::getblk`) hit/miss/eviction events
-    /// are charged to.  Without a machine the cache still counts locally
+    /// Attaches the machine whose ledger the hit/miss/eviction events are
+    /// booked in, at the `bufcache::getblk` boundary.  Without a machine the cache still counts locally
     /// ([`BufCache::stats`]).
     pub fn attach_machine(&self, machine: &Arc<Machine>) {
         *self.machine.lock() = Some(Arc::clone(machine));

@@ -148,10 +148,9 @@ pub struct TtcpResult {
     pub sender: WorkSnapshot,
     /// Receiver-machine work counters.
     pub receiver: WorkSnapshot,
-    /// Per-boundary refinement of `sender` (empty rows unless the
-    /// `trace` feature is on).
+    /// Per-boundary breakdown of `sender`.
     pub sender_boundaries: TraceReport,
-    /// Per-boundary refinement of `receiver`.
+    /// Per-boundary breakdown of `receiver`.
     pub receiver_boundaries: TraceReport,
     /// Sender-machine fault ledger (all-zero unless a plan was installed
     /// via [`ttcp_run_faulted`]).
@@ -171,9 +170,9 @@ pub struct RtcpResult {
     pub client: WorkSnapshot,
     /// Server-machine work counters.
     pub server: WorkSnapshot,
-    /// Per-boundary refinement of `client`.
+    /// Per-boundary breakdown of `client`.
     pub client_boundaries: TraceReport,
-    /// Per-boundary refinement of `server`.
+    /// Per-boundary breakdown of `server`.
     pub server_boundaries: TraceReport,
 }
 
@@ -398,8 +397,8 @@ pub fn ttcp_run_faulted(
         bytes: total as u64,
         elapsed_ns: elapsed,
         mbit_s: total as f64 * 8.0 / (elapsed as f64 / 1e9) / 1e6,
-        sender: tb.machine_a.meter.snapshot(),
-        receiver: tb.machine_b.meter.snapshot(),
+        sender: tb.machine_a.work(),
+        receiver: tb.machine_b.work(),
         sender_boundaries: tb.machine_a.tracer().metrics(),
         receiver_boundaries: tb.machine_b.tracer().metrics(),
         sender_faults: tb.machine_a.faults().stats(),
@@ -444,8 +443,8 @@ pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
     RtcpResult {
         round_trips: round_trips as u64,
         rtt_us: total_ns as f64 / round_trips as f64 / 1000.0,
-        client: tb.machine_a.meter.snapshot(),
-        server: tb.machine_b.meter.snapshot(),
+        client: tb.machine_a.work(),
+        server: tb.machine_b.work(),
         client_boundaries: tb.machine_a.tracer().metrics(),
         server_boundaries: tb.machine_b.tracer().metrics(),
     }
@@ -489,8 +488,7 @@ pub struct FileServeResult {
     pub server: WorkSnapshot,
     /// Client-machine work counters (not reset; includes connect).
     pub client: WorkSnapshot,
-    /// Per-boundary refinement of `server` (empty rows unless the
-    /// `trace` feature is on).
+    /// Per-boundary breakdown of `server`.
     pub server_boundaries: TraceReport,
 }
 
@@ -590,7 +588,6 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         ls.bind(SockAddr::any(7070)).expect("bind");
         ls.listen(1).expect("listen");
         // Measurement starts here: the counters cover the transfer only.
-        ms2.meter.reset();
         ms2.tracer().clear();
         ready_s.signal(&sim_s);
         let (conn, _) = ls.accept().expect("accept");
@@ -659,8 +656,8 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         bytes,
         elapsed_ns,
         mbit_s: bytes as f64 * 8.0 / (elapsed_ns as f64 / 1e9) / 1e6,
-        server: ms.meter.snapshot(),
-        client: mc.meter.snapshot(),
+        server: ms.work(),
+        client: mc.work(),
         server_boundaries: ms.tracer().metrics(),
     }
 }
@@ -694,9 +691,6 @@ mod tests {
 
     #[test]
     fn oskit_send_copy_is_attributed_to_linux_ether_glue() {
-        if !oskit_machine::Tracer::enabled() {
-            return;
-        }
         let oskit = ttcp_run_mixed(NetConfig::oskit(), NetConfig::freebsd(), 64, 4096);
         // The Table 1 send-path penalty — one copy per packet when the
         // mbuf chain is handed to the Linux driver — books precisely on
@@ -707,16 +701,6 @@ mod tests {
             .expect("ether_tx boundary present");
         assert!(tx.copies > 0, "send-path copies must land on ether_tx");
         assert!(tx.bytes_copied >= oskit.bytes, "every payload byte copied once");
-        // The breakdown refines the aggregate meter without changing it:
-        // summed per-boundary copies equal the WorkMeter total.
-        assert_eq!(
-            oskit.sender_boundaries.total_bytes_copied(),
-            oskit.sender.bytes_copied
-        );
-        assert_eq!(
-            oskit.sender_boundaries.total_crossings(),
-            oskit.sender.crossings
-        );
         // Receive path on an OSKit receiver: zero copied bytes at every
         // glue boundary (§5: the glue "never has to copy the incoming
         // data").  The only copying boundary is the donor stack's own

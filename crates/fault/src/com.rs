@@ -42,8 +42,6 @@ pub trait Fault: IUnknown {
     fn fault_stats(&self) -> FaultSnapshot;
     /// Resets the counters (the plan is untouched).
     fn fault_clear(&self);
-    /// Whether injection is compiled in (`fault` feature).
-    fn fault_enabled(&self) -> bool;
 }
 com_interface_decl!(Fault, oskit_iid(0xC1), "oskit_fault");
 
@@ -82,9 +80,6 @@ impl Fault for FaultObj {
     fn fault_clear(&self) {
         self.injector.clear()
     }
-    fn fault_enabled(&self) -> bool {
-        FaultInjector::enabled()
-    }
 }
 com_object!(FaultObj, me, [Fault]);
 
@@ -122,8 +117,7 @@ mod tests {
     #[test]
     fn fault_obj_is_queryable() {
         let obj = FaultObj::new(FaultInjector::new());
-        let f = obj.query::<dyn Fault>().unwrap();
-        assert_eq!(f.fault_enabled(), cfg!(feature = "fault"));
+        assert!(obj.query::<dyn Fault>().is_some());
         let names: Vec<_> = obj.interfaces().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["oskit_fault"]);
     }
@@ -134,7 +128,7 @@ mod tests {
         let unk = registry::lookup_object("oskit_fault").expect("registered");
         let f = unk.query::<dyn Fault>().expect("answers oskit_fault");
         f.fault_install(FaultPlan::new(7));
-        assert_eq!(f.fault_installed(), cfg!(feature = "fault"));
+        assert!(f.fault_installed());
         assert!(f.fault_stats().is_zero());
         f.fault_uninstall();
         assert!(!f.fault_installed());

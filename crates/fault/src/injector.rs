@@ -1,17 +1,9 @@
 //! The per-machine injector handle the device models consult.
 
 use crate::plan::FaultPlan;
-use crate::stats::FaultSnapshot;
-
-#[cfg(feature = "fault")]
 use crate::rng::SplitMix64;
-#[cfg(feature = "fault")]
-use crate::stats::FaultStats;
-#[cfg(feature = "fault")]
+use crate::stats::FaultSnapshot;
 use parking_lot::Mutex;
-#[cfg(feature = "fault")]
-use std::sync::atomic::Ordering;
-#[cfg(feature = "fault")]
 use std::sync::Arc;
 
 /// The transmit-side verdict for one offered frame.
@@ -38,7 +30,6 @@ pub struct DiskFault {
 }
 
 /// Seeded per-device-class decision streams plus window state.
-#[cfg(feature = "fault")]
 struct PlanState {
     plan: FaultPlan,
     nic_rng: SplitMix64,
@@ -52,7 +43,6 @@ struct PlanState {
     wedge_cleared_until: u64,
 }
 
-#[cfg(feature = "fault")]
 impl PlanState {
     fn new(plan: FaultPlan) -> PlanState {
         PlanState {
@@ -67,38 +57,34 @@ impl PlanState {
     }
 }
 
-#[cfg(feature = "fault")]
+/// Everything an injector guards with its one lock: the installed plan
+/// (if any) and the injection/recovery counters.
 #[derive(Default)]
-struct InjectorCore {
-    plan: Mutex<Option<PlanState>>,
-    stats: FaultStats,
+struct InjectorState {
+    plan: Option<PlanState>,
+    stats: FaultSnapshot,
 }
 
 /// True while `now` lies in the leading `duration` ns of a `period`-ns
 /// cycle.
-#[cfg(feature = "fault")]
 fn in_window(now: u64, period: u64, duration: u64) -> bool {
     period > 0 && duration > 0 && now % period < duration
 }
 
 /// End of the window containing `now` (callers check `in_window` first).
-#[cfg(feature = "fault")]
 fn window_end(now: u64, period: u64, duration: u64) -> u64 {
     now - now % period + duration
 }
 
 /// A cloneable handle to one machine's fault domain.
 ///
-/// With the `fault` feature enabled the handle shares seeded decision
-/// streams and a block of injection/recovery counters; with the feature
-/// disabled it is a zero-sized type and every method is an empty inline
-/// function the optimizer erases.  Without an installed [`FaultPlan`]
+/// Clones share seeded decision streams and a block of
+/// injection/recovery counters.  Without an installed [`FaultPlan`]
 /// every decision is "no fault", so merely carrying the handle changes
 /// nothing.
 #[derive(Clone, Default)]
 pub struct FaultInjector {
-    #[cfg(feature = "fault")]
-    core: Arc<InjectorCore>,
+    state: Arc<Mutex<InjectorState>>,
 }
 
 impl FaultInjector {
@@ -107,95 +93,60 @@ impl FaultInjector {
         FaultInjector::default()
     }
 
-    /// Whether fault injection is compiled in.
-    pub const fn enabled() -> bool {
-        cfg!(feature = "fault")
-    }
-
     /// Installs (or replaces) the fault plan, resetting its decision
-    /// streams.  A no-op when the feature is off.
-    #[allow(unused_variables)]
+    /// streams.
     pub fn install(&self, plan: FaultPlan) {
-        #[cfg(feature = "fault")]
-        {
-            *self.core.plan.lock() = Some(PlanState::new(plan));
-        }
+        self.state.lock().plan = Some(PlanState::new(plan));
     }
 
     /// Removes the plan: subsequent decisions are all "no fault".
     pub fn uninstall(&self) {
-        #[cfg(feature = "fault")]
-        {
-            *self.core.plan.lock() = None;
-        }
+        self.state.lock().plan = None;
     }
 
     /// Whether a plan is currently installed.
     pub fn installed(&self) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            self.core.plan.lock().is_some()
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            false
-        }
+        self.state.lock().plan.is_some()
     }
 
     /// Snapshots the injection/recovery counters.
     pub fn stats(&self) -> FaultSnapshot {
-        #[cfg(feature = "fault")]
-        {
-            self.core.stats.snapshot()
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            FaultSnapshot::default()
-        }
+        self.state.lock().stats
     }
 
     /// Resets every counter (the plan and its streams are untouched).
     pub fn clear(&self) {
-        #[cfg(feature = "fault")]
-        self.core.stats.clear();
+        self.state.lock().stats = FaultSnapshot::default();
     }
 
     // --- Device consultation points ---
 
     /// NIC transmit: the verdict for one frame offered at time `now`.
-    #[allow(unused_variables)]
-    #[inline]
     pub fn nic_tx_fault(&self, now: u64) -> NicTxFault {
-        #[cfg(feature = "fault")]
+        let mut guard = self.state.lock();
+        let InjectorState { plan, stats } = &mut *guard;
+        let Some(st) = plan.as_mut() else {
+            return NicTxFault::None;
+        };
+        let nf = st.plan.nic;
+        if in_window(now, nf.wedge_period_ns, nf.wedge_duration_ns) && now >= st.wedge_cleared_until
         {
-            let mut guard = self.core.plan.lock();
-            let Some(st) = guard.as_mut() else {
-                return NicTxFault::None;
-            };
-            let nf = st.plan.nic;
-            if in_window(now, nf.wedge_period_ns, nf.wedge_duration_ns)
-                && now >= st.wedge_cleared_until
-            {
-                self.core.stats.tx_wedged.fetch_add(1, Ordering::Relaxed);
-                return NicTxFault::Wedged;
-            }
-            if in_window(now, nf.flap_period_ns, nf.flap_down_ns) {
-                self.core
-                    .stats
-                    .link_down_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                return NicTxFault::Dropped;
-            }
-            if st.nic_burst_left > 0 {
-                st.nic_burst_left -= 1;
-                self.core.stats.tx_dropped.fetch_add(1, Ordering::Relaxed);
-                return NicTxFault::Dropped;
-            }
-            if st.nic_rng.chance(nf.drop_per_mille) {
-                st.nic_burst_left = nf.burst_len.saturating_sub(1);
-                self.core.stats.tx_dropped.fetch_add(1, Ordering::Relaxed);
-                return NicTxFault::Dropped;
-            }
+            stats.tx_wedged += 1;
+            return NicTxFault::Wedged;
+        }
+        if in_window(now, nf.flap_period_ns, nf.flap_down_ns) {
+            stats.link_down_dropped += 1;
+            return NicTxFault::Dropped;
+        }
+        if st.nic_burst_left > 0 {
+            st.nic_burst_left -= 1;
+            stats.tx_dropped += 1;
+            return NicTxFault::Dropped;
+        }
+        if st.nic_rng.chance(nf.drop_per_mille) {
+            st.nic_burst_left = nf.burst_len.saturating_sub(1);
+            stats.tx_dropped += 1;
+            return NicTxFault::Dropped;
         }
         NicTxFault::None
     }
@@ -203,168 +154,103 @@ impl FaultInjector {
     /// NIC reset (the watchdog's recovery action): cancels the wedge
     /// window in progress at `now`, if any — re-initializing the
     /// transmitter brings the hardware back.
-    #[allow(unused_variables)]
     pub fn nic_reset(&self, now: u64) {
-        #[cfg(feature = "fault")]
-        {
-            let mut guard = self.core.plan.lock();
-            let Some(st) = guard.as_mut() else { return };
-            let nf = st.plan.nic;
-            if in_window(now, nf.wedge_period_ns, nf.wedge_duration_ns) {
-                st.wedge_cleared_until =
-                    window_end(now, nf.wedge_period_ns, nf.wedge_duration_ns);
-            }
+        let mut guard = self.state.lock();
+        let Some(st) = guard.plan.as_mut() else {
+            return;
+        };
+        let nf = st.plan.nic;
+        if in_window(now, nf.wedge_period_ns, nf.wedge_duration_ns) {
+            st.wedge_cleared_until = window_end(now, nf.wedge_period_ns, nf.wedge_duration_ns);
         }
     }
 
     /// Disk submit: the verdict for one request.
-    #[inline]
     pub fn disk_fault(&self) -> DiskFault {
-        #[cfg(feature = "fault")]
-        {
-            let mut guard = self.core.plan.lock();
-            let Some(st) = guard.as_mut() else {
-                return DiskFault::default();
-            };
-            let df = st.plan.disk;
-            let error = st.disk_rng.chance(df.error_per_mille);
-            let spike = st.disk_rng.chance(df.spike_per_mille);
-            if error {
-                self.core.stats.disk_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            if spike {
-                self.core.stats.disk_spikes.fetch_add(1, Ordering::Relaxed);
-            }
-            DiskFault {
-                error,
-                extra_ns: if spike { df.spike_ns } else { 0 },
-            }
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            DiskFault::default()
+        let mut guard = self.state.lock();
+        let InjectorState { plan, stats } = &mut *guard;
+        let Some(st) = plan.as_mut() else {
+            return DiskFault::default();
+        };
+        let df = st.plan.disk;
+        let error = st.disk_rng.chance(df.error_per_mille);
+        let spike = st.disk_rng.chance(df.spike_per_mille);
+        stats.disk_errors += u64::from(error);
+        stats.disk_spikes += u64::from(spike);
+        DiskFault {
+            error,
+            extra_ns: if spike { df.spike_ns } else { 0 },
         }
     }
 
     /// Allocation: whether this request is forced to fail.  `atomic`
     /// requests (GFP_ATOMIC: interrupt level, cannot sleep) additionally
     /// face the plan's `atomic_fail_per_mille`.
-    #[allow(unused_variables)]
-    #[inline]
     pub fn alloc_fail(&self, atomic: bool) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            let mut guard = self.core.plan.lock();
-            let Some(st) = guard.as_mut() else {
-                return false;
-            };
-            let af = st.plan.alloc;
-            let fail = st.alloc_rng.chance(af.fail_per_mille)
-                || (atomic && st.alloc_rng.chance(af.atomic_fail_per_mille));
-            if fail {
-                self.core
-                    .stats
-                    .alloc_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            fail
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            false
-        }
+        let mut guard = self.state.lock();
+        let InjectorState { plan, stats } = &mut *guard;
+        let Some(st) = plan.as_mut() else {
+            return false;
+        };
+        let af = st.plan.alloc;
+        let fail = st.alloc_rng.chance(af.fail_per_mille)
+            || (atomic && st.alloc_rng.chance(af.atomic_fail_per_mille));
+        stats.alloc_failures += u64::from(fail);
+        fail
     }
 
     /// Device interrupt raise: whether this edge is lost.  The device
     /// queue state survives; only the notification vanishes.
-    #[allow(unused_variables)]
-    #[inline]
-    pub fn irq_lost(&self, line: u8) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            let mut guard = self.core.plan.lock();
-            let Some(st) = guard.as_mut() else {
-                return false;
-            };
-            let lost = st.irq_rng.chance(st.plan.irq.lose_per_mille);
-            if lost {
-                self.core.stats.irqs_lost.fetch_add(1, Ordering::Relaxed);
-            }
-            lost
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            false
-        }
+    pub fn irq_lost(&self, _line: u8) -> bool {
+        let mut guard = self.state.lock();
+        let InjectorState { plan, stats } = &mut *guard;
+        let Some(st) = plan.as_mut() else {
+            return false;
+        };
+        let lost = st.irq_rng.chance(st.plan.irq.lose_per_mille);
+        stats.irqs_lost += u64::from(lost);
+        lost
     }
 
     // --- Recovery notes (bumped by the glue when it survives a fault) ---
 
     /// The block layer retried a transiently failed request.
-    #[inline]
     pub fn note_blk_retry(&self) {
-        #[cfg(feature = "fault")]
-        self.core.stats.blk_retries.fetch_add(1, Ordering::Relaxed);
+        self.state.lock().stats.blk_retries += 1;
     }
 
     /// A block request exhausted its retries and failed hard.
-    #[inline]
     pub fn note_blk_hard_failure(&self) {
-        #[cfg(feature = "fault")]
-        self.core
-            .stats
-            .blk_hard_failures
-            .fetch_add(1, Ordering::Relaxed);
+        self.state.lock().stats.blk_hard_failures += 1;
     }
 
     /// The block layer polled for completions after a suspected lost
     /// interrupt.
-    #[inline]
     pub fn note_blk_lost_irq_poll(&self) {
-        #[cfg(feature = "fault")]
-        self.core
-            .stats
-            .blk_lost_irq_polls
-            .fetch_add(1, Ordering::Relaxed);
+        self.state.lock().stats.blk_lost_irq_polls += 1;
     }
 
     /// The ether transmit watchdog reset a wedged device.
-    #[inline]
     pub fn note_tx_watchdog_reset(&self) {
-        #[cfg(feature = "fault")]
-        self.core
-            .stats
-            .tx_watchdog_resets
-            .fetch_add(1, Ordering::Relaxed);
+        self.state.lock().stats.tx_watchdog_resets += 1;
     }
 
     /// A packet was dropped because its buffer allocation failed.
-    #[inline]
     pub fn note_pkt_alloc_drop(&self) {
-        #[cfg(feature = "fault")]
-        self.core
-            .stats
-            .pkt_alloc_drops
-            .fetch_add(1, Ordering::Relaxed);
+        self.state.lock().stats.pkt_alloc_drops += 1;
     }
 
     /// The rx watchdog force-polled a ring whose (coalesced) receive
     /// interrupt was lost — the NAPI-mode companion of
     /// [`FaultInjector::note_blk_lost_irq_poll`].
-    #[inline]
     pub fn note_rx_timeout_poll(&self) {
-        #[cfg(feature = "fault")]
-        self.core
-            .stats
-            .rx_timeout_polls
-            .fetch_add(1, Ordering::Relaxed);
+        self.state.lock().stats.rx_timeout_polls += 1;
     }
 }
 
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjector")
-            .field("enabled", &FaultInjector::enabled())
             .field("installed", &self.installed())
             .finish()
     }
@@ -385,7 +271,6 @@ mod tests {
         assert!(inj.stats().is_zero());
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn same_seed_same_decisions() {
         let plan = FaultPlan::new(0xF00D)
@@ -424,7 +309,6 @@ mod tests {
         assert!(runs[0].irqs_lost > 0);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn bursts_eat_consecutive_frames() {
         let inj = FaultInjector::new();
@@ -450,7 +334,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn wedge_window_and_reset() {
         let inj = FaultInjector::new();
@@ -469,7 +352,6 @@ mod tests {
         assert_eq!(inj.nic_tx_fault(2100), NicTxFault::Wedged);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn atomic_allocations_fail_more() {
         let inj = FaultInjector::new();
@@ -489,13 +371,11 @@ mod tests {
         inj.note_tx_watchdog_reset();
         inj.note_pkt_alloc_drop();
         let s = inj.stats();
-        if FaultInjector::enabled() {
-            assert_eq!(
-                (s.blk_retries, s.tx_watchdog_resets, s.pkt_alloc_drops),
-                (1, 1, 1)
-            );
-            inj.clear();
-        }
+        assert_eq!(
+            (s.blk_retries, s.tx_watchdog_resets, s.pkt_alloc_drops),
+            (1, 1, 1)
+        );
+        inj.clear();
         assert!(inj.stats().is_zero());
     }
 }

@@ -19,11 +19,8 @@
 //!   ([`Fault`], IID `oskit_iid(0xC1)`) so a client that was handed
 //!   nothing but the registry can install a plan and read the counters.
 //!
-//! With the `fault` feature off the handle is a zero-sized type and every
-//! consultation is an empty inline function — the device models are
-//! byte-for-byte as cheap as the seed.  With the feature on but no plan
-//! installed, every decision is "no fault" and only the recovery counters
-//! are live, so default benchmark output is unchanged.
+//! Without an installed plan every decision is "no fault" and only the
+//! recovery counters are live, so default benchmark output is unchanged.
 //!
 //! Determinism: decisions are drawn from per-device-class [`SplitMix64`]
 //! streams derived from the plan seed, and the simulation delivers events

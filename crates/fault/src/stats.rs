@@ -7,70 +7,12 @@
 //! diffs two same-seed snapshots for equality.
 
 use std::fmt;
-#[cfg(feature = "fault")]
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by one injector (compiled only with the `fault`
-/// feature; snapshotted as [`FaultSnapshot`]).
-#[cfg(feature = "fault")]
-#[derive(Default)]
-pub(crate) struct FaultStats {
-    pub(crate) tx_dropped: AtomicU64,
-    pub(crate) link_down_dropped: AtomicU64,
-    pub(crate) tx_wedged: AtomicU64,
-    pub(crate) disk_errors: AtomicU64,
-    pub(crate) disk_spikes: AtomicU64,
-    pub(crate) alloc_failures: AtomicU64,
-    pub(crate) irqs_lost: AtomicU64,
-    pub(crate) blk_retries: AtomicU64,
-    pub(crate) blk_hard_failures: AtomicU64,
-    pub(crate) blk_lost_irq_polls: AtomicU64,
-    pub(crate) tx_watchdog_resets: AtomicU64,
-    pub(crate) pkt_alloc_drops: AtomicU64,
-    pub(crate) rx_timeout_polls: AtomicU64,
-}
-
-#[cfg(feature = "fault")]
-impl FaultStats {
-    pub(crate) fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            tx_dropped: self.tx_dropped.load(Ordering::Relaxed),
-            link_down_dropped: self.link_down_dropped.load(Ordering::Relaxed),
-            tx_wedged: self.tx_wedged.load(Ordering::Relaxed),
-            disk_errors: self.disk_errors.load(Ordering::Relaxed),
-            disk_spikes: self.disk_spikes.load(Ordering::Relaxed),
-            alloc_failures: self.alloc_failures.load(Ordering::Relaxed),
-            irqs_lost: self.irqs_lost.load(Ordering::Relaxed),
-            blk_retries: self.blk_retries.load(Ordering::Relaxed),
-            blk_hard_failures: self.blk_hard_failures.load(Ordering::Relaxed),
-            blk_lost_irq_polls: self.blk_lost_irq_polls.load(Ordering::Relaxed),
-            tx_watchdog_resets: self.tx_watchdog_resets.load(Ordering::Relaxed),
-            pkt_alloc_drops: self.pkt_alloc_drops.load(Ordering::Relaxed),
-            rx_timeout_polls: self.rx_timeout_polls.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn clear(&self) {
-        self.tx_dropped.store(0, Ordering::Relaxed);
-        self.link_down_dropped.store(0, Ordering::Relaxed);
-        self.tx_wedged.store(0, Ordering::Relaxed);
-        self.disk_errors.store(0, Ordering::Relaxed);
-        self.disk_spikes.store(0, Ordering::Relaxed);
-        self.alloc_failures.store(0, Ordering::Relaxed);
-        self.irqs_lost.store(0, Ordering::Relaxed);
-        self.blk_retries.store(0, Ordering::Relaxed);
-        self.blk_hard_failures.store(0, Ordering::Relaxed);
-        self.blk_lost_irq_polls.store(0, Ordering::Relaxed);
-        self.tx_watchdog_resets.store(0, Ordering::Relaxed);
-        self.pkt_alloc_drops.store(0, Ordering::Relaxed);
-        self.rx_timeout_polls.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time snapshot of one injector's counters.
+/// One injector's counters (a copy of them, when returned by
+/// `FaultInjector::stats`).
 ///
-/// All-zero (and [`FaultSnapshot::is_zero`]) when no plan is installed or
-/// the `fault` feature is compiled out.
+/// All-zero (and [`FaultSnapshot::is_zero`]) while no plan is installed
+/// and nothing has recovered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultSnapshot {
     /// Frames destroyed on the wire by random drops and bursts.

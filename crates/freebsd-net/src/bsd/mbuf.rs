@@ -148,7 +148,7 @@ impl Mbuf {
 /// covered.  Continuation-passing style because an external mbuf's bytes
 /// only exist *inside* its bufio's `with_map` callback — recursing within
 /// that callback keeps every borrow alive until `done` runs, with no
-/// `unsafe` lifetime laundering.  Returns `false` if a foreign buffer
+/// lifetime laundering.  Returns `false` if a foreign buffer
 /// declined to map.
 fn walk_fragments(
     bufs: &[Mbuf],

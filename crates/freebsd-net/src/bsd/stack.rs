@@ -123,7 +123,9 @@ impl BsdNet {
     /// `ether_input`: the entry point the glue feeds received frames into
     /// (at interrupt level).
     pub fn ether_input(self: &Arc<Self>, mut frame: MbufChain) {
-        self.env.machine.charge_layer();
+        self.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "ether_in"));
         if frame.pkt_len() < ETHER_HDR_LEN {
             return;
         }
@@ -145,7 +147,10 @@ impl BsdNet {
     fn ip_input(self: &Arc<Self>, pkt: MbufChain) {
         let now = self.env.now();
         // Header validation (checksummed) is protocol work.
-        self.env.machine.charge_checksum(super::ip::IP_HDR_LEN);
+        self.env.machine.charge_checksum_at(
+            oskit_machine::boundary!("freebsd-net", "ip_in"),
+            super::ip::IP_HDR_LEN,
+        );
         let Some((hdr, payload)) = self.ip.ip_input(pkt, now) else {
             return;
         };
@@ -157,7 +162,9 @@ impl BsdNet {
             ipproto::UDP => super::udp::udp_input(self, hdr.src, hdr.dst, payload),
             ipproto::ICMP => {
                 if let Some(reply) = icmp_reflect(&payload) {
-                    self.env.machine.charge_layer();
+                    self.env
+                        .machine
+                        .charge_layer_at(oskit_machine::boundary!("freebsd-net", "icmp"));
                     let ifp = self.ifnet();
                     self.ip.ip_output(&ifp, ipproto::ICMP, hdr.dst, hdr.src, reply);
                 } else {
@@ -218,7 +225,9 @@ impl BsdNet {
             self.ping_waiters.lock().remove(&ident);
             return false;
         };
-        self.env.machine.charge_layer();
+        self.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "icmp"));
         self.ip
             .ip_output(&ifp, ipproto::ICMP, src, dst, MbufChain::from_slice(&pkt));
         let ok = matches!(

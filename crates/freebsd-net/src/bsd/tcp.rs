@@ -654,7 +654,9 @@ impl TcpSock {
         payload: MbufChain,
         with_mss_opt: bool,
     ) {
-        net.env.machine.charge_layer(); // TCP processing.
+        net.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "tcp_out")); // TCP processing.
         let hdr_len = if with_mss_opt {
             TCP_HDR_LEN + 4
         } else {
@@ -683,7 +685,9 @@ impl TcpSock {
         pseudo.push(0);
         pseudo.push(ipproto::TCP);
         pseudo.extend_from_slice(&(total as u16).to_be_bytes());
-        net.env.machine.charge_checksum(total);
+        net.env
+            .machine
+            .charge_checksum_at(oskit_machine::boundary!("freebsd-net", "tcp_out"), total);
         let csum = {
             let mut tmp = MbufChain::from_mbuf(Mbuf::small(&hdr, MLEN - hdr_len));
             tmp.m_cat(payload.clone()); // Clones share storage, not bytes.
@@ -716,10 +720,13 @@ impl TcpSock {
         };
         tcb.segs_sent += 1;
         // IP layer.
-        net.env.machine.charge_layer();
         net.env
             .machine
-            .charge_checksum(super::ip::IP_HDR_LEN);
+            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "ip_out"));
+        net.env.machine.charge_checksum_at(
+            oskit_machine::boundary!("freebsd-net", "ip_out"),
+            super::ip::IP_HDR_LEN,
+        );
         let ifp = net.ifnet();
         net.ip
             .ip_output(&ifp, ipproto::TCP, tcb.local.0, tcb.foreign.0, seg);

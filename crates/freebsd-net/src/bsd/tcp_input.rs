@@ -73,13 +73,17 @@ impl TcpHeader {
 
 /// The segment arrival entry point (interrupt level).
 pub(crate) fn tcp_input(net: &Arc<BsdNet>, src: Ipv4Addr, dst: Ipv4Addr, mut pkt: MbufChain) {
-    net.env.machine.charge_layer();
+    net.env
+        .machine
+        .charge_layer_at(oskit_machine::boundary!("freebsd-net", "tcp_in"));
     let total = pkt.pkt_len();
     if total < TCP_HDR_LEN {
         return;
     }
     // Verify the checksum over the pseudo-header and segment.
-    net.env.machine.charge_checksum(total);
+    net.env
+        .machine
+        .charge_checksum_at(oskit_machine::boundary!("freebsd-net", "tcp_in"), total);
     let mut pseudo = Vec::with_capacity(12);
     pseudo.extend_from_slice(&src.octets());
     pseudo.extend_from_slice(&dst.octets());

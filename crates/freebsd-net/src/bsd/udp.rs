@@ -107,10 +107,13 @@ impl UdpSock {
         if buf.len() + UDP_HDR_LEN + 20 > 65_535 {
             return Err(oskit_com::Error::MsgSize);
         }
-        net.env.machine.charge_layer();
         net.env
             .machine
-            .charge_copy_at(oskit_machine::boundary!("freebsd-net", "sockbuf"), buf.len()); // uiomove.
+            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "udp_out"));
+        net.env.machine.charge_copy_at(
+            oskit_machine::boundary!("freebsd-net", "sockbuf"),
+            buf.len(),
+        ); // uiomove.
         let mut hdr = [0u8; UDP_HDR_LEN];
         hdr[0..2].copy_from_slice(&lport.to_be_bytes());
         hdr[2..4].copy_from_slice(&dport.to_be_bytes());
@@ -125,7 +128,10 @@ impl UdpSock {
         pseudo.push(0);
         pseudo.push(ipproto::UDP);
         pseudo.extend_from_slice(&ulen.to_be_bytes());
-        net.env.machine.charge_checksum(ulen as usize);
+        net.env.machine.charge_checksum_at(
+            oskit_machine::boundary!("freebsd-net", "udp_out"),
+            ulen as usize,
+        );
         let csum = in_cksum_chain(&seg, &pseudo);
         let mut hdr2 = hdr;
         hdr2[6..8].copy_from_slice(&csum.to_be_bytes());
@@ -182,13 +188,17 @@ impl UdpSock {
 
 /// The UDP demux (interrupt level).
 pub(crate) fn udp_input(net: &Arc<BsdNet>, src: Ipv4Addr, dst: Ipv4Addr, mut pkt: MbufChain) {
-    net.env.machine.charge_layer();
+    net.env
+        .machine
+        .charge_layer_at(oskit_machine::boundary!("freebsd-net", "udp_in"));
     let total = pkt.pkt_len();
     if total < UDP_HDR_LEN {
         return;
     }
     // Verify the checksum (optional on the wire, always emitted by us).
-    net.env.machine.charge_checksum(total);
+    net.env
+        .machine
+        .charge_checksum_at(oskit_machine::boundary!("freebsd-net", "udp_in"), total);
     let mut pseudo = Vec::with_capacity(12);
     pseudo.extend_from_slice(&src.octets());
     pseudo.extend_from_slice(&dst.octets());

@@ -16,6 +16,7 @@ use std::sync::Arc;
 /// Attaches the stack directly to hardware, BSD-monolithic style.
 pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
     let ifp = Ifnet::new("de0", nic.mac());
+    nic.book_frames_at(|| oskit_machine::boundary!("freebsd-net", "net_intr"));
     // Transmit: gather the chain into the NIC's DMA engine.  No CPU copy
     // is charged: the lance-class DMA walks the chain.
     let nic2 = Arc::clone(nic);
@@ -26,8 +27,7 @@ pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
     let nic3 = Arc::clone(nic);
     let machine = Arc::clone(&net.env.machine);
     net.env.machine.irq.install(nic.irq_line(), move |_| {
-        machine.charge_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
-        machine.note_rx_irq();
+        machine.charge_rx_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
         while let Some(frame) = nic3.rx_pop() {
             // The DMA target cluster, wrapped without a CPU copy.
             let len = frame.len();

@@ -152,8 +152,8 @@ fn native_bulk_transfer_delivers_exact_bytes() {
     let (a, b) = native_pair(&sim);
     bulk_transfer(&sim, &a, &b, 300_000);
     // The native configuration never crosses a component boundary.
-    assert_eq!(a.machine.meter.snapshot().crossings, 0);
-    assert_eq!(b.machine.meter.snapshot().crossings, 0);
+    assert_eq!(a.machine.work().crossings, 0);
+    assert_eq!(b.machine.work().crossings, 0);
 }
 
 #[test]
@@ -161,8 +161,8 @@ fn oskit_bulk_transfer_delivers_exact_bytes() {
     let sim = Sim::new();
     let (a, b) = oskit_pair(&sim);
     bulk_transfer(&sim, &a, &b, 300_000);
-    let am = a.machine.meter.snapshot();
-    let bm = b.machine.meter.snapshot();
+    let am = a.machine.work();
+    let bm = b.machine.work();
     // The OSKit configuration pays glue crossings on both sides.
     assert!(am.crossings > 0, "sender saw no crossings");
     assert!(bm.crossings > 0, "receiver saw no crossings");
@@ -173,8 +173,8 @@ fn oskit_bulk_transfer_delivers_exact_bytes() {
     let sim2 = Sim::new();
     let (na, nb) = native_pair(&sim2);
     bulk_transfer(&sim2, &na, &nb, 300_000);
-    let nam = na.machine.meter.snapshot();
-    let nbm = nb.machine.meter.snapshot();
+    let nam = na.machine.work();
+    let nbm = nb.machine.work();
     assert!(
         am.bytes_copied > nam.bytes_copied + 250_000,
         "send path should pay ~one extra copy of the payload: oskit={} native={}",
@@ -190,13 +190,10 @@ fn oskit_bulk_transfer_delivers_exact_bytes() {
 
 #[test]
 fn oskit_napi_bulk_transfer_batches_and_stays_zero_copy() {
-    if !NetDevice::napi_compiled() {
-        return;
-    }
     let sim = Sim::new();
     let (a, b) = oskit_pair_with(&sim, oskit_linux_dev::NETIF_F_NAPI);
     bulk_transfer(&sim, &a, &b, 300_000);
-    let bm = b.machine.meter.snapshot();
+    let bm = b.machine.work();
     // Interrupt mitigation actually mitigated: the receiver took strictly
     // fewer rx interrupts than it received frames, and every frame came
     // up through a budgeted poll.
@@ -216,7 +213,7 @@ fn oskit_napi_bulk_transfer_batches_and_stays_zero_copy() {
     let (ca, cb) = oskit_pair(&sim2);
     bulk_transfer(&sim2, &ca, &cb, 300_000);
     let _ = ca;
-    let cbm = cb.machine.meter.snapshot();
+    let cbm = cb.machine.work();
     let extra_rx = bm.bytes_copied as i64 - cbm.bytes_copied as i64;
     assert!(
         extra_rx.abs() < 50_000,

@@ -409,7 +409,7 @@ mod tests {
         sim.run();
         assert_eq!(got.lock().len(), 1);
         // The crucial claim: zero bytes copied on the mapped path.
-        assert_eq!(ma.meter.snapshot().bytes_copied, 0);
+        assert_eq!(ma.work().bytes_copied, 0);
     }
 
     #[test]
@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(got.lock()[0].len(), 314);
         // Exactly one copy of the whole frame (the paper's send-path
         // penalty).
-        let m = ma.meter.snapshot();
+        let m = ma.work();
         assert_eq!(m.copies, 1);
         assert_eq!(m.bytes_copied, 314);
     }
@@ -465,7 +465,7 @@ mod tests {
         assert_eq!(got.lock().len(), 1);
         assert_eq!(got.lock()[0].len(), 314);
         assert_eq!(&got.lock()[0][14..], &[0x33; 300]);
-        let m = ma.meter.snapshot();
+        let m = ma.work();
         assert_eq!(m.copies, 0);
         assert_eq!(m.bytes_copied, 0);
         assert_eq!(m.gathers, 1);
@@ -494,7 +494,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(got.lock().len(), 1);
-        let m = ma.meter.snapshot();
+        let m = ma.work();
         assert_eq!(m.gathers, 0);
         assert_eq!(m.copies, 1);
         assert_eq!(m.bytes_copied, 314);
@@ -531,8 +531,8 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0][14..], b"zero-copy receive");
         // Receive side never copied: the skbuff was wrapped, not read.
-        assert_eq!(mb.meter.snapshot().bytes_copied, 0);
+        assert_eq!(mb.work().bytes_copied, 0);
         // But it did cross the component boundary exactly once.
-        assert_eq!(mb.meter.snapshot().crossings, 1);
+        assert_eq!(mb.work().crossings, 1);
     }
 }

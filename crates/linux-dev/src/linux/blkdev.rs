@@ -300,10 +300,7 @@ mod tests {
 
     #[test]
     fn transient_errors_are_retried_until_success() {
-        use oskit_machine::{DiskFaults, FaultInjector, FaultPlan, IrqFaults};
-        if !FaultInjector::enabled() {
-            return;
-        }
+        use oskit_machine::{DiskFaults, FaultPlan, IrqFaults};
         let (sim, d) = drive();
         // Aggressive plan: 20% transient errors, latency spikes, and one
         // in twenty completion interrupts lost.

@@ -669,7 +669,9 @@ impl LinuxInet {
     // --- Receive path (interrupt level) ---
 
     fn rx(self: &Arc<Self>, mut skb: SkBuff) {
-        self.env.machine.charge_layer();
+        self.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("linux-dev", "ether_in"));
         match skb.protocol {
             eth_p::ARP => {
                 skb.pull(ETH_HLEN);
@@ -726,7 +728,9 @@ impl LinuxInet {
             if total > p.len() || ihl < 20 || ihl > total {
                 return;
             }
-            self.env.machine.charge_checksum(ihl);
+            self.env
+                .machine
+                .charge_checksum_at(oskit_machine::boundary!("linux-dev", "ip_in"), ihl);
             if checksum(&p[..ihl]) != 0 {
                 return;
             }
@@ -746,8 +750,12 @@ impl LinuxInet {
         if seg.len() < 20 {
             return;
         }
-        self.env.machine.charge_layer();
-        self.env.machine.charge_checksum(seg.len());
+        self.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("linux-dev", "tcp_in"));
+        self.env
+            .machine
+            .charge_checksum_at(oskit_machine::boundary!("linux-dev", "tcp_in"), seg.len());
         let sport = u16::from_be_bytes([seg[0], seg[1]]);
         let dport = u16::from_be_bytes([seg[2], seg[3]]);
         let seq = u32::from_be_bytes([seg[4], seg[5], seg[6], seg[7]]);
@@ -784,7 +792,9 @@ impl LinuxInet {
         wnd: u16,
         payload: &[u8],
     ) {
-        self.env.machine.charge_layer();
+        self.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("linux-dev", "tcp_out"));
         let mut seg = vec![0u8; 20 + payload.len()];
         seg[0..2].copy_from_slice(&local.1.to_be_bytes());
         seg[2..4].copy_from_slice(&remote.1.to_be_bytes());
@@ -795,7 +805,9 @@ impl LinuxInet {
         seg[14..16].copy_from_slice(&wnd.to_be_bytes());
         seg[20..].copy_from_slice(payload);
         // Pseudo-header checksum.
-        self.env.machine.charge_checksum(seg.len());
+        self.env
+            .machine
+            .charge_checksum_at(oskit_machine::boundary!("linux-dev", "tcp_out"), seg.len());
         let mut pseudo = Vec::with_capacity(12 + seg.len());
         pseudo.extend_from_slice(&local.0.octets());
         pseudo.extend_from_slice(&remote.0.octets());
@@ -809,7 +821,9 @@ impl LinuxInet {
     }
 
     fn ip_output(self: &Arc<Self>, dst: Ipv4Addr, proto: u8, payload: &[u8]) {
-        self.env.machine.charge_layer();
+        self.env
+            .machine
+            .charge_layer_at(oskit_machine::boundary!("linux-dev", "ip_out"));
         assert!(payload.len() + 20 <= self.dev.mtu, "no fragmentation support");
         let mut p = vec![0u8; 20 + payload.len()];
         p[0] = 0x45;
@@ -825,7 +839,9 @@ impl LinuxInet {
         p[9] = proto;
         p[12..16].copy_from_slice(&self.ip.octets());
         p[16..20].copy_from_slice(&dst.octets());
-        self.env.machine.charge_checksum(20);
+        self.env
+            .machine
+            .charge_checksum_at(oskit_machine::boundary!("linux-dev", "ip_out"), 20);
         let csum = checksum(&p[..20]);
         p[10..12].copy_from_slice(&csum.to_be_bytes());
         p[20..].copy_from_slice(payload);

@@ -21,8 +21,7 @@ pub const NETIF_F_SG: u32 = 1;
 /// `NETIF_F_NAPI`: the device runs the NAPI-style receive path —
 /// interrupt mitigation in hardware plus a budgeted softirq poll loop in
 /// the driver — instead of one interrupt per frame.  Off by default (the
-/// paper's receive path is interrupt-per-frame); additionally requires
-/// the `napi` cargo feature, without which the bit is ignored.
+/// paper's receive path is interrupt-per-frame).
 pub const NETIF_F_NAPI: u32 = 2;
 
 /// Ethernet protocol numbers (host byte order).
@@ -86,6 +85,7 @@ pub struct NetDevice {
 impl NetDevice {
     /// Creates the device bound to its hardware (driver `probe`).
     pub fn new(name: impl Into<String>, env: &Arc<OsEnv>, hw: Arc<Nic>) -> Arc<NetDevice> {
+        hw.book_frames_at(|| oskit_machine::boundary!("linux-dev", "net_intr"));
         Arc::new(NetDevice {
             name: name.into(),
             dev_addr: hw.mac(),
@@ -120,17 +120,10 @@ impl NetDevice {
         *self.rx_handler.lock() = Some(Arc::new(h));
     }
 
-    /// Whether the NAPI receive path is compiled in (`napi` cargo
-    /// feature).  When false, [`NETIF_F_NAPI`] is ignored and every
-    /// device receives interrupt-per-frame.
-    pub const fn napi_compiled() -> bool {
-        cfg!(feature = "napi")
-    }
-
-    /// Whether this device actually runs the NAPI receive path: the
-    /// feature is compiled in *and* the device set [`NETIF_F_NAPI`].
+    /// Whether this device runs the NAPI receive path: it set
+    /// [`NETIF_F_NAPI`].
     pub fn napi_active(&self) -> bool {
-        Self::napi_compiled() && self.has_feature(NETIF_F_NAPI)
+        self.has_feature(NETIF_F_NAPI)
     }
 
     /// Overrides the per-poll frame budget (clamped to at least 1) —
@@ -153,19 +146,15 @@ impl NetDevice {
         let napi = self.napi_active();
         let weak: Weak<NetDevice> = Arc::downgrade(self);
         let machine = Arc::clone(&self.env.machine);
-        self.env
-            .machine
-            .irq
-            .install(self.hw.irq_line(), move |_| {
-                let Some(dev) = weak.upgrade() else { return };
-                machine.charge_irq_at(oskit_machine::boundary!("linux-dev", "net_intr"));
-                machine.note_rx_irq();
-                if napi {
-                    dev.napi_schedule();
-                } else {
-                    dev.rx_interrupt();
-                }
-            });
+        self.env.machine.irq.install(self.hw.irq_line(), move |_| {
+            let Some(dev) = weak.upgrade() else { return };
+            machine.charge_rx_irq_at(oskit_machine::boundary!("linux-dev", "net_intr"));
+            if napi {
+                dev.napi_schedule();
+            } else {
+                dev.rx_interrupt();
+            }
+        });
         if napi {
             self.hw.set_rx_coalesce(Some(oskit_machine::RxCoalesce::default()));
             self.start_rx_watchdog();
@@ -520,9 +509,6 @@ mod tests {
 
     #[test]
     fn napi_device_batches_frames_under_fewer_irqs() {
-        if !NetDevice::napi_compiled() {
-            return;
-        }
         let sim = Sim::new();
         let ma = Machine::new(&sim, "a", 1 << 20);
         let mb = Machine::new(&sim, "b", 1 << 20);
@@ -557,7 +543,7 @@ mod tests {
         for (i, f) in got.iter().enumerate() {
             assert_eq!(&f[ETH_HLEN..], &[i as u8; 64]);
         }
-        let m = mb.meter.snapshot();
+        let m = mb.work();
         // Mitigation + polling: strictly fewer interrupts than frames,
         // and every frame accounted to a poll batch.
         assert!(m.rx_irqs < 16, "rx_irqs = {}", m.rx_irqs);
@@ -567,9 +553,6 @@ mod tests {
 
     #[test]
     fn napi_budget_exhaustion_reschedules_until_ring_is_dry() {
-        if !NetDevice::napi_compiled() {
-            return;
-        }
         let (sim, da, dev) = two_devices();
         dev.set_features(NETIF_F_NAPI);
         dev.set_napi_budget(2);
@@ -600,7 +583,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(got.load(Ordering::Relaxed), 11);
-        let s = dev.env.machine.meter.snapshot();
+        let s = dev.env.machine.work();
         // ceil(11 / 2) = 6 polls: five full batches and the final dry run.
         assert_eq!(s.rx_polls, 6);
         assert_eq!(s.rx_batch_frames, 11);

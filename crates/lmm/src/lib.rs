@@ -17,8 +17,6 @@
 //! free list itself is inspectable ([`Lmm::find_free`]) and particular
 //! ranges can be reserved out of it ([`Lmm::remove_free`]).
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

@@ -8,7 +8,7 @@
 //! converts them to virtual nanoseconds at 1997-era rates, so the *shape*
 //! of the results — who wins and by what factor — is emergent.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use oskit_trace::TraceReport;
 
 /// Rates used to convert mechanical work into virtual time.
 ///
@@ -78,124 +78,73 @@ fn mul_div(a: u64, b: u64, c: u64) -> u64 {
     ((a as u128 * b as u128) / c.max(1) as u128) as u64
 }
 
-/// Counters of the mechanical work a machine performed.
+/// Totals of the mechanical work a machine performed, summed over every
+/// boundary of its ledger ([`Machine::work`](crate::Machine::work)).
 ///
 /// These are the quantities the paper's analysis talks about ("an
 /// additional copy is necessary", "the overhead is largely attributable to
 /// the additional glue code"); the experiment harnesses print them next to
 /// the timing results.
-#[derive(Debug, Default)]
-pub struct WorkMeter {
-    /// Total bytes passed through `memcpy`-style copies.
-    pub bytes_copied: AtomicU64,
-    /// Number of discrete copy operations.
-    pub copies: AtomicU64,
-    /// Total bytes handed to scatter-gather DMA as fragment lists
-    /// (descriptors programmed, nothing copied by the CPU).
-    pub bytes_gathered: AtomicU64,
-    /// Number of scatter-gather hand-offs.
-    pub gathers: AtomicU64,
-    /// Component-boundary (COM/glue) crossings.
-    pub crossings: AtomicU64,
-    /// Bytes checksummed.
-    pub bytes_checksummed: AtomicU64,
-    /// Hardware interrupts taken.
-    pub irqs: AtomicU64,
-    /// Receive interrupts taken (the subset of `irqs` raised by the NIC
-    /// rx path — the quantity interrupt mitigation exists to shrink).
-    pub rx_irqs: AtomicU64,
-    /// NAPI-style poll invocations (budgeted rx batch drains).
-    pub rx_polls: AtomicU64,
-    /// Frames delivered by those polls; `rx_batch_frames / rx_polls` is
-    /// the achieved batch size.
-    pub rx_batch_frames: AtomicU64,
-    /// Packets handed to the NIC.
-    pub packets_sent: AtomicU64,
-    /// Packets received from the NIC.
-    pub packets_received: AtomicU64,
-    /// Buffer-cache lookups satisfied from memory (no device I/O).
-    pub cache_hits: AtomicU64,
-    /// Buffer-cache lookups that filled from the backing device.
-    pub cache_misses: AtomicU64,
-    /// Cached blocks evicted to make room (written back first if dirty).
-    pub cache_evictions: AtomicU64,
-}
-
-impl WorkMeter {
-    /// Snapshots all counters.
-    pub fn snapshot(&self) -> WorkSnapshot {
-        WorkSnapshot {
-            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
-            copies: self.copies.load(Ordering::Relaxed),
-            bytes_gathered: self.bytes_gathered.load(Ordering::Relaxed),
-            gathers: self.gathers.load(Ordering::Relaxed),
-            crossings: self.crossings.load(Ordering::Relaxed),
-            bytes_checksummed: self.bytes_checksummed.load(Ordering::Relaxed),
-            irqs: self.irqs.load(Ordering::Relaxed),
-            rx_irqs: self.rx_irqs.load(Ordering::Relaxed),
-            rx_polls: self.rx_polls.load(Ordering::Relaxed),
-            rx_batch_frames: self.rx_batch_frames.load(Ordering::Relaxed),
-            packets_sent: self.packets_sent.load(Ordering::Relaxed),
-            packets_received: self.packets_received.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.bytes_copied.store(0, Ordering::Relaxed);
-        self.copies.store(0, Ordering::Relaxed);
-        self.bytes_gathered.store(0, Ordering::Relaxed);
-        self.gathers.store(0, Ordering::Relaxed);
-        self.crossings.store(0, Ordering::Relaxed);
-        self.bytes_checksummed.store(0, Ordering::Relaxed);
-        self.irqs.store(0, Ordering::Relaxed);
-        self.rx_irqs.store(0, Ordering::Relaxed);
-        self.rx_polls.store(0, Ordering::Relaxed);
-        self.rx_batch_frames.store(0, Ordering::Relaxed);
-        self.packets_sent.store(0, Ordering::Relaxed);
-        self.packets_received.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of a [`WorkMeter`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkSnapshot {
-    /// See [`WorkMeter::bytes_copied`].
+    /// Total bytes passed through `memcpy`-style copies.
     pub bytes_copied: u64,
-    /// See [`WorkMeter::copies`].
+    /// Number of discrete copy operations.
     pub copies: u64,
-    /// See [`WorkMeter::bytes_gathered`].
+    /// Total bytes handed to scatter-gather DMA as fragment lists
+    /// (descriptors programmed, nothing copied by the CPU).
     pub bytes_gathered: u64,
-    /// See [`WorkMeter::gathers`].
+    /// Number of scatter-gather hand-offs.
     pub gathers: u64,
-    /// See [`WorkMeter::crossings`].
+    /// Component-boundary (COM/glue) crossings.
     pub crossings: u64,
-    /// See [`WorkMeter::bytes_checksummed`].
+    /// Bytes checksummed.
     pub bytes_checksummed: u64,
-    /// See [`WorkMeter::irqs`].
+    /// Hardware interrupts taken.
     pub irqs: u64,
-    /// See [`WorkMeter::rx_irqs`].
+    /// Receive interrupts taken (the subset of `irqs` raised by the NIC
+    /// rx path — the quantity interrupt mitigation exists to shrink).
     pub rx_irqs: u64,
-    /// See [`WorkMeter::rx_polls`].
+    /// NAPI-style poll invocations (budgeted rx batch drains).
     pub rx_polls: u64,
-    /// See [`WorkMeter::rx_batch_frames`].
+    /// Frames delivered by those polls; `rx_batch_frames / rx_polls` is
+    /// the achieved batch size.
     pub rx_batch_frames: u64,
-    /// See [`WorkMeter::packets_sent`].
+    /// Packets handed to the NIC.
     pub packets_sent: u64,
-    /// See [`WorkMeter::packets_received`].
+    /// Packets received from the NIC.
     pub packets_received: u64,
-    /// See [`WorkMeter::cache_hits`].
+    /// Buffer-cache lookups satisfied from memory (no device I/O).
     pub cache_hits: u64,
-    /// See [`WorkMeter::cache_misses`].
+    /// Buffer-cache lookups that filled from the backing device.
     pub cache_misses: u64,
-    /// See [`WorkMeter::cache_evictions`].
+    /// Cached blocks evicted to make room (written back first if dirty).
     pub cache_evictions: u64,
+}
+
+impl From<&TraceReport> for WorkSnapshot {
+    /// The field-wise sum of every boundary's counters.
+    fn from(report: &TraceReport) -> WorkSnapshot {
+        let mut w = WorkSnapshot::default();
+        for b in &report.boundaries {
+            w.bytes_copied += b.bytes_copied;
+            w.copies += b.copies;
+            w.bytes_gathered += b.bytes_gathered;
+            w.gathers += b.gathers;
+            w.crossings += b.crossings;
+            w.bytes_checksummed += b.bytes_checksummed;
+            w.irqs += b.irqs;
+            w.rx_irqs += b.rx_irqs;
+            w.rx_polls += b.polls;
+            w.rx_batch_frames += b.poll_frames;
+            w.packets_sent += b.packets_sent;
+            w.packets_received += b.packets_received;
+            w.cache_hits += b.cache_hits;
+            w.cache_misses += b.cache_misses;
+            w.cache_evictions += b.cache_evictions;
+        }
+        w
+    }
 }
 
 #[cfg(test)]
@@ -214,18 +163,6 @@ mod tests {
     fn checksum_is_faster_than_copy() {
         let m = CostModel::default();
         assert!(m.checksum_ns(1500) < m.copy_ns(1500));
-    }
-
-    #[test]
-    fn meter_snapshot_and_reset() {
-        let w = WorkMeter::default();
-        w.bytes_copied.fetch_add(100, Ordering::Relaxed);
-        w.copies.fetch_add(1, Ordering::Relaxed);
-        let s = w.snapshot();
-        assert_eq!(s.bytes_copied, 100);
-        assert_eq!(s.copies, 1);
-        w.reset();
-        assert_eq!(w.snapshot(), WorkSnapshot::default());
     }
 
     #[test]

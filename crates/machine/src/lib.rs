@@ -20,7 +20,7 @@ pub mod timer;
 pub mod trap;
 pub mod uart;
 
-pub use costs::{CostModel, WorkMeter, WorkSnapshot};
+pub use costs::{CostModel, WorkSnapshot};
 pub use disk::{Completion, Disk, DiskConfig, SECTOR_SIZE};
 pub use irq::{IrqController, IrqGuard, NUM_IRQS};
 pub use machine::{BoundarySpan, Machine};

@@ -1,6 +1,6 @@
 //! The simulated PC: RAM, interrupt controller, CPU clock and accounting.
 
-use crate::costs::{CostModel, WorkMeter};
+use crate::costs::{CostModel, WorkSnapshot};
 use crate::irq::IrqController;
 use crate::phys::PhysMem;
 use crate::sched::{EventId, Ns, Sim};
@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 /// One simulated machine (one "PC" of the paper's two-machine testbed).
 ///
-/// A machine owns its physical memory, interrupt controller, cost meters
+/// A machine owns its physical memory, interrupt controller, work ledger
 /// and a **CPU clock**: virtual time consumed by code logically executing
 /// on this machine.  The clock advances when components charge work
-/// ([`Machine::charge_copy`] and friends) and is pulled forward to the
+/// ([`Machine::charge_copy_at`] and friends) and is pulled forward to the
 /// global event clock whenever an event (packet arrival, disk completion)
 /// is delivered to the machine.
 pub struct Machine {
@@ -28,13 +28,10 @@ pub struct Machine {
     pub irq: Arc<IrqController>,
     /// Rates converting mechanical work to virtual time.
     pub costs: CostModel,
-    /// Counters of mechanical work performed.
-    pub meter: WorkMeter,
-    /// Per-boundary structured trace (zero-sized no-op unless the
-    /// `trace` feature is enabled).
+    /// The work ledger: every charge, booked at the boundary it was
+    /// paid at.
     tracer: Tracer,
-    /// Scripted fault schedules (zero-sized no-op unless the `fault`
-    /// feature is enabled).
+    /// Scripted fault schedules.
     faults: FaultInjector,
     clock: AtomicU64,
 }
@@ -58,16 +55,21 @@ impl Machine {
             phys: PhysMem::new(mem_size),
             irq: Arc::new(IrqController::new()),
             costs,
-            meter: WorkMeter::default(),
             tracer: Tracer::new(),
             faults: FaultInjector::new(),
             clock: AtomicU64::new(0),
         })
     }
 
-    /// This machine's tracer: per-boundary refinement of [`Machine::meter`].
+    /// This machine's tracer: the per-boundary ledger of every charge.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// The mechanical work this machine performed: the sum over every
+    /// boundary of [`Machine::tracer`]'s counters.
+    pub fn work(&self) -> WorkSnapshot {
+        WorkSnapshot::from(&self.tracer.metrics())
     }
 
     /// This machine's fault injector: the device models consult it at
@@ -116,44 +118,27 @@ impl Machine {
         })
     }
 
-    /// Charges a memory copy of `bytes` bytes: advances the CPU clock and
-    /// records the copy in the meter.
+    /// Advances the CPU clock by `ns` and books `kind` at `boundary`.
+    fn charge(&self, boundary: BoundaryId, kind: EventKind, ns: Ns) {
+        self.advance(ns);
+        self.tracer.record(boundary, kind, self.clock());
+    }
+
+    /// Charges a memory copy of `bytes` bytes at `boundary`: advances the
+    /// CPU clock and books the copy.
     ///
     /// Every `memcpy` performed by driver, glue, or protocol code calls
     /// this, so the copy counts behind Table 1's send/receive asymmetry
-    /// are measured, not asserted.  Un-attributed variant of
-    /// [`Machine::charge_copy_at`]: the trace books the copy on the
-    /// reserved `machine::unattributed` boundary.
-    pub fn charge_copy(&self, bytes: usize) {
-        self.charge_copy_at(BoundaryId::UNATTRIBUTED, bytes);
-    }
-
-    /// Charges a memory copy of `bytes` bytes, attributed to `boundary`.
-    ///
-    /// The aggregate [`Machine::meter`] and the CPU clock advance exactly
-    /// as in [`Machine::charge_copy`]; only the trace gains per-boundary
-    /// detail, so attributing a call site never changes Table 1 numbers.
+    /// are measured, not asserted.
     pub fn charge_copy_at(&self, boundary: BoundaryId, bytes: usize) {
-        self.meter.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.meter.copies.fetch_add(1, Ordering::Relaxed);
-        self.advance(self.costs.copy_ns(bytes));
-        self.tracer.record(
-            boundary,
-            EventKind::Copy {
-                bytes: bytes as u64,
-            },
-            self.clock(),
-        );
+        let kind = EventKind::Copy {
+            bytes: bytes as u64,
+        };
+        self.charge(boundary, kind, self.costs.copy_ns(bytes));
     }
 
     /// Charges a scatter-gather hand-off of `bytes` bytes in `fragments`
-    /// fragments.  Un-attributed variant of
-    /// [`Machine::charge_gather_at`].
-    pub fn charge_gather(&self, bytes: usize, fragments: usize) {
-        self.charge_gather_at(BoundaryId::UNATTRIBUTED, bytes, fragments);
-    }
-
-    /// Charges a scatter-gather hand-off, attributed to `boundary`.
+    /// fragments at `boundary`.
     ///
     /// The CPU programs one DMA descriptor per fragment
     /// ([`CostModel::sg_frag_ns`] each); the bytes themselves are moved
@@ -161,68 +146,43 @@ impl Machine {
     /// are charged.  This is what an SG-capable driver pays where a
     /// contiguous-only driver pays [`Machine::charge_copy_at`].
     pub fn charge_gather_at(&self, boundary: BoundaryId, bytes: usize, fragments: usize) {
-        self.meter
-            .bytes_gathered
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.meter.gathers.fetch_add(1, Ordering::Relaxed);
-        self.advance(self.costs.sg_frag_ns * fragments as u64);
-        self.tracer.record(
-            boundary,
-            EventKind::Gather {
-                bytes: bytes as u64,
-            },
-            self.clock(),
-        );
+        let kind = EventKind::Gather {
+            bytes: bytes as u64,
+        };
+        self.charge(boundary, kind, self.costs.sg_frag_ns * fragments as u64);
     }
 
-    /// Charges a checksum pass over `bytes` bytes.
-    pub fn charge_checksum(&self, bytes: usize) {
-        self.meter
-            .bytes_checksummed
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.advance(self.costs.checksum_ns(bytes));
+    /// Charges a checksum pass over `bytes` bytes at `boundary`.
+    pub fn charge_checksum_at(&self, boundary: BoundaryId, bytes: usize) {
+        let kind = EventKind::Checksum {
+            bytes: bytes as u64,
+        };
+        self.charge(boundary, kind, self.costs.checksum_ns(bytes));
     }
 
     /// Charges one component-boundary crossing (COM dispatch plus glue
-    /// prologue/epilogue) — the per-call price of separability that
-    /// dominates Table 2's latency overhead.  Un-attributed variant of
-    /// [`Machine::charge_crossing_at`].
-    pub fn charge_crossing(&self) {
-        self.charge_crossing_at(BoundaryId::UNATTRIBUTED);
-    }
-
-    /// Charges one component-boundary crossing, attributed to `boundary`.
+    /// prologue/epilogue) at `boundary` — the per-call price of
+    /// separability that dominates Table 2's latency overhead.
     pub fn charge_crossing_at(&self, boundary: BoundaryId) {
-        self.meter.crossings.fetch_add(1, Ordering::Relaxed);
-        self.advance(self.costs.crossing_ns);
-        self.tracer
-            .record(boundary, EventKind::Crossing, self.clock());
+        self.charge(boundary, EventKind::Crossing, self.costs.crossing_ns);
     }
 
-    /// Charges one layer of per-packet protocol processing.
-    pub fn charge_layer(&self) {
-        self.advance(self.costs.per_layer_ns);
+    /// Charges one layer of per-packet protocol processing at `boundary`.
+    pub fn charge_layer_at(&self, boundary: BoundaryId) {
+        self.charge(boundary, EventKind::Layer, self.costs.per_layer_ns);
     }
 
-    /// Charges the fixed cost of taking a hardware interrupt.
-    /// Un-attributed variant of [`Machine::charge_irq_at`].
-    pub fn charge_irq(&self) {
-        self.charge_irq_at(BoundaryId::UNATTRIBUTED);
-    }
-
-    /// Charges the fixed cost of taking a hardware interrupt, attributed
-    /// to `boundary`.
+    /// Charges the fixed cost of taking a hardware interrupt at
+    /// `boundary`.
     pub fn charge_irq_at(&self, boundary: BoundaryId) {
-        self.meter.irqs.fetch_add(1, Ordering::Relaxed);
-        self.advance(self.costs.irq_ns);
-        self.tracer.record(boundary, EventKind::Irq, self.clock());
+        self.charge(boundary, EventKind::Irq, self.costs.irq_ns);
     }
 
-    /// Notes that an interrupt just charged was a *receive* interrupt —
-    /// bumps the `rx_irqs` refinement counter without touching the clock
-    /// (the [`Machine::charge_irq_at`] already paid for it).
-    pub fn note_rx_irq(&self) {
-        self.meter.rx_irqs.fetch_add(1, Ordering::Relaxed);
+    /// Charges a NIC *receive* interrupt at `boundary`: priced and
+    /// counted like [`Machine::charge_irq_at`], and also counted in the
+    /// boundary's `rx_irqs`.
+    pub fn charge_rx_irq_at(&self, boundary: BoundaryId) {
+        self.charge(boundary, EventKind::RxIrq, self.costs.irq_ns);
     }
 
     /// Charges one budgeted poll dispatch that delivered `frames` frames,
@@ -234,13 +194,7 @@ impl Machine {
     /// The per-frame protocol and glue work is still charged by whoever
     /// consumes the frames — this prices only the dispatch.
     pub fn charge_rx_poll_at(&self, boundary: BoundaryId, frames: u64) {
-        self.meter.rx_polls.fetch_add(1, Ordering::Relaxed);
-        self.meter
-            .rx_batch_frames
-            .fetch_add(frames, Ordering::Relaxed);
-        self.advance(self.costs.poll_ns);
-        self.tracer
-            .record(boundary, EventKind::Poll { frames }, self.clock());
+        self.charge(boundary, EventKind::Poll { frames }, self.costs.poll_ns);
     }
 
     /// Records a trace event at `boundary` without charging any work —
@@ -256,21 +210,18 @@ impl Machine {
     /// clock is untouched — the whole point of the cache is that the
     /// virtual-time price of the avoided `blkio` read never gets paid.
     pub fn note_cache_hit_at(&self, boundary: BoundaryId) {
-        self.meter.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.tracer.count(boundary, EventKind::CacheHit);
     }
 
     /// Notes a buffer-cache miss at `boundary` (the fill's device read is
     /// charged by the backing `blkio` itself).
     pub fn note_cache_miss_at(&self, boundary: BoundaryId) {
-        self.meter.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.tracer.count(boundary, EventKind::CacheMiss);
     }
 
     /// Notes a buffer-cache eviction at `boundary` (any dirty write-back
     /// is charged by the backing `blkio` itself).
     pub fn note_cache_evict_at(&self, boundary: BoundaryId) {
-        self.meter.cache_evictions.fetch_add(1, Ordering::Relaxed);
         self.tracer.count(boundary, EventKind::CacheEvict);
     }
 
@@ -279,7 +230,7 @@ impl Machine {
     /// attributed to the boundary's `vtime_ns` metric.
     ///
     /// Spans observe — they never charge — so wrapping a glue seam in a
-    /// span leaves every meter and Table 1/2 number unchanged.
+    /// span leaves every counter and Table 1/2 number unchanged.
     pub fn span(&self, boundary: BoundaryId) -> BoundarySpan<'_> {
         BoundarySpan {
             machine: self,
@@ -312,9 +263,10 @@ mod tests {
     fn clock_accumulates_charges() {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 4096);
-        m.charge_copy(25_000); // 1 ms at 25 MB/s.
+        let b = oskit_trace::boundary!("machine-test", "clock_seam");
+        m.charge_copy_at(b, 25_000); // 1 ms at 25 MB/s.
         assert_eq!(m.clock(), 1_000_000);
-        m.charge_crossing();
+        m.charge_crossing_at(b);
         assert_eq!(m.clock(), 1_000_500);
     }
 
@@ -351,63 +303,26 @@ mod tests {
     }
 
     #[test]
-    fn attributed_charges_keep_aggregates_identical() {
-        let sim = Sim::new();
-        let plain = Machine::new(&sim, "plain", 4096);
-        let attributed = Machine::new(&sim, "attr", 4096);
-        let b = oskit_trace::boundary!("machine-test", "seam");
-
-        plain.charge_copy(100);
-        plain.charge_crossing();
-        plain.charge_irq();
-        attributed.charge_copy_at(b, 100);
-        attributed.charge_crossing_at(b);
-        attributed.charge_irq_at(b);
-
-        // Attribution is free: meters and clocks match exactly.
-        assert_eq!(plain.meter.snapshot(), attributed.meter.snapshot());
-        assert_eq!(plain.clock(), attributed.clock());
-
-        if Tracer::enabled() {
-            let m = *attributed
-                .tracer()
-                .metrics()
-                .get("machine-test", "seam")
-                .unwrap();
-            assert_eq!((m.copies, m.bytes_copied, m.crossings, m.irqs), (1, 100, 1, 1));
-            // The plain machine booked everything as unattributed.
-            let u = *plain
-                .tracer()
-                .metrics()
-                .get("machine", "unattributed")
-                .unwrap();
-            assert_eq!((u.copies, u.crossings, u.irqs), (1, 1, 1));
-        }
-    }
-
-    #[test]
     fn span_attributes_vtime_without_charging() {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 4096);
         let b = oskit_trace::boundary!("machine-test", "span_seam");
-        let before = m.meter.snapshot();
+        let before = m.work();
         {
             let _span = m.span(b);
-            m.charge_copy(25_000); // 1 ms at 25 MB/s
+            m.charge_copy_at(b, 25_000); // 1 ms at 25 MB/s
         }
-        let after = m.meter.snapshot();
+        let after = m.work();
         // The span itself charged nothing beyond the copy.
         assert_eq!(after.copies, before.copies + 1);
         assert_eq!(m.clock(), 1_000_000);
-        if Tracer::enabled() {
-            let v = m
-                .tracer()
-                .metrics()
-                .get("machine-test", "span_seam")
-                .unwrap()
-                .vtime_ns;
-            assert_eq!(v, 1_000_000);
-        }
+        let v = m
+            .tracer()
+            .metrics()
+            .get("machine-test", "span_seam")
+            .unwrap()
+            .vtime_ns;
+        assert_eq!(v, 1_000_000);
     }
 
     #[test]
@@ -416,7 +331,7 @@ mod tests {
         let m = Machine::new(&sim, "m", 4096);
         let b = oskit_trace::boundary!("machine-test", "sg_seam");
         m.charge_gather_at(b, 1514, 2);
-        let s = m.meter.snapshot();
+        let s = m.work();
         // The bytes moved, but nothing was copied by the CPU...
         assert_eq!(s.bytes_gathered, 1514);
         assert_eq!(s.gathers, 1);
@@ -425,24 +340,31 @@ mod tests {
         // below the ~60 µs a 1514-byte copy would have charged.
         assert_eq!(m.clock(), 2 * m.costs.sg_frag_ns);
         assert!(m.clock() < m.costs.copy_ns(1514) / 10);
-        if Tracer::enabled() {
-            let bm = *m.tracer().metrics().get("machine-test", "sg_seam").unwrap();
-            assert_eq!((bm.gathers, bm.bytes_gathered, bm.bytes_copied), (1, 1514, 0));
-        }
+        let bm = *m.tracer().metrics().get("machine-test", "sg_seam").unwrap();
+        assert_eq!(
+            (bm.gathers, bm.bytes_gathered, bm.bytes_copied),
+            (1, 1514, 0)
+        );
     }
 
     #[test]
     fn meters_track_work() {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 4096);
-        m.charge_copy(100);
-        m.charge_copy(200);
-        m.charge_checksum(50);
-        m.charge_irq();
-        let s = m.meter.snapshot();
+        let a = oskit_trace::boundary!("machine-test", "work_a");
+        let b = oskit_trace::boundary!("machine-test", "work_b");
+        m.charge_copy_at(a, 100);
+        m.charge_copy_at(b, 200);
+        m.charge_checksum_at(a, 50);
+        m.charge_irq_at(a);
+        m.charge_rx_irq_at(b);
+        // The aggregate is the sum over boundaries.
+        let s = m.work();
         assert_eq!(s.bytes_copied, 300);
         assert_eq!(s.copies, 2);
         assert_eq!(s.bytes_checksummed, 50);
-        assert_eq!(s.irqs, 1);
+        assert_eq!((s.irqs, s.rx_irqs), (2, 1));
+        let bm = *m.tracer().metrics().get("machine-test", "work_a").unwrap();
+        assert_eq!((bm.copies, bm.checksums, bm.irqs, bm.rx_irqs), (1, 1, 1, 0));
     }
 }

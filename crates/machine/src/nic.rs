@@ -10,10 +10,11 @@
 use crate::machine::Machine;
 use crate::sched::Ns;
 use oskit_fault::NicTxFault;
+use oskit_trace::{BoundaryId, EventKind};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Ethernet framing overhead on the wire: preamble+SFD (8) + FCS (4) +
 /// inter-frame gap (12), in bytes.
@@ -135,6 +136,9 @@ pub struct Nic {
     /// `rx_enqueued`/`rx_popped` both standing still while the ring is
     /// non-empty is the driver watchdog's stalled-ring signal.
     rx_popped: AtomicU64,
+    /// The boundary the attached driver's interrupt handler charges at;
+    /// see [`Nic::book_frames_at`].
+    frame_boundary: OnceLock<fn() -> BoundaryId>,
 }
 
 impl Nic {
@@ -167,7 +171,26 @@ impl Nic {
             rx_timer_deadline: AtomicU64::new(0),
             rx_enqueued: AtomicU64::new(0),
             rx_popped: AtomicU64::new(0),
+            frame_boundary: OnceLock::new(),
         })
+    }
+
+    /// Books this NIC's frame counts on the machine's ledger at the
+    /// boundary its driver's interrupt handler charges at — the seam
+    /// where the driver services this hardware: every frame offered for
+    /// transmission counts as `packets_sent`, every frame queued on the
+    /// receive ring as `packets_received`.  `boundary` is called at each
+    /// count, so the boundary is interned on first use, like the charges
+    /// it sits next to.  The first driver to attach wins; until one does,
+    /// frames are not booked.
+    pub fn book_frames_at(&self, boundary: fn() -> BoundaryId) {
+        let _ = self.frame_boundary.set(boundary);
+    }
+
+    fn book_frame(&self, machine: &Machine, kind: EventKind) {
+        if let Some(boundary) = self.frame_boundary.get() {
+            machine.tracer().count(boundary(), kind);
+        }
     }
 
     /// The station MAC address.
@@ -226,7 +249,7 @@ impl Nic {
         let Some(machine) = self.machine.upgrade() else {
             return;
         };
-        machine.meter.packets_sent.fetch_add(1, Ordering::Relaxed);
+        self.book_frame(&machine, EventKind::PacketSent);
         self.tx_offered.fetch_add(1, Ordering::Relaxed);
         // Scripted faults: a wedged transmitter eats the frame before it
         // reaches the wire (tx_wire stalls — the watchdog's signal); a
@@ -311,10 +334,7 @@ impl Nic {
             ring.len()
         };
         self.rx_enqueued.fetch_add(1, Ordering::Relaxed);
-        machine
-            .meter
-            .packets_received
-            .fetch_add(1, Ordering::Relaxed);
+        self.book_frame(&machine, EventKind::PacketReceived);
         if !self.rx_irq_armed.load(Ordering::Relaxed) {
             // The driver disarmed the interrupt and is draining the ring
             // by polling; it will find this frame without being told.

@@ -5,34 +5,23 @@
 //! `linux-dev` ether driver hand-off into the `freebsd-net` stack).
 //! Boundaries are registered once per process and referred to everywhere
 //! else by a small dense [`BoundaryId`], so per-boundary counters can
-//! live in fixed-size atomic arrays with no locking on the hot path.
-//!
-//! Interning is always compiled in (even with the `trace` feature off):
-//! the table is tiny, registration happens once per call site, and
-//! keeping ids stable across feature configurations means code can hold
-//! a `BoundaryId` unconditionally.
+//! live in a plain vector indexed by id.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Maximum number of distinct boundaries a process may register.
 ///
-/// Per-boundary counters are fixed-size arrays indexed by
-/// [`BoundaryId`], so this caps their footprint.  The whole OSKit tree
-/// registers ~25 boundaries; 64 leaves generous headroom.
-pub const MAX_BOUNDARIES: usize = 64;
+/// Per-boundary counters are vectors indexed by [`BoundaryId`], so this
+/// caps their footprint.  The whole OSKit tree registers 32 static
+/// boundaries plus one `com` seam per queried interface (~23); 128
+/// leaves headroom.
+pub const MAX_BOUNDARIES: usize = 128;
 
 /// A small dense handle to an interned (component, boundary-name) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BoundaryId(u16);
 
 impl BoundaryId {
-    /// The reserved boundary that legacy, un-attributed charges land on.
-    ///
-    /// [`Machine::charge_copy`](../../oskit_machine/machine/struct.Machine.html)
-    /// and friends route here when the caller did not name a seam, so
-    /// the per-boundary breakdown always sums to the aggregate meter.
-    pub const UNATTRIBUTED: BoundaryId = BoundaryId(0);
-
     /// The dense index of this boundary, `< MAX_BOUNDARIES`.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -40,18 +29,11 @@ impl BoundaryId {
 }
 
 /// The interning table: slot i holds the (component, name) of
-/// `BoundaryId(i)`.  Slot 0 is pre-seeded with the unattributed seam.
+/// `BoundaryId(i)`.
 static TABLE: Mutex<Vec<(&'static str, &'static str)>> = Mutex::new(Vec::new());
 
 fn with_table<R>(f: impl FnOnce(&mut Vec<(&'static str, &'static str)>) -> R) -> R {
-    let mut t = match TABLE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    if t.is_empty() {
-        t.push(("machine", "unattributed"));
-    }
-    f(&mut t)
+    f(&mut TABLE.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Interns `(component, name)` and returns its id.  Idempotent: the same
@@ -77,21 +59,15 @@ pub fn register_boundary(component: &'static str, name: &'static str) -> Boundar
     })
 }
 
-/// Number of boundaries registered so far (always >= 1: the
-/// unattributed seam).
-pub fn boundary_count() -> usize {
-    with_table(|t| t.len())
-}
-
 /// The (component, name) pair behind `id`.
 pub fn boundary_info(id: BoundaryId) -> (&'static str, &'static str) {
-    boundary_info_at(id.index())
+    with_table(|t| t[id.index()])
 }
 
-/// The (component, name) pair at dense index `i` (ids are dense, so
-/// index `i` is `BoundaryId(i)`).  Returns `("?", "?")` out of range.
-pub fn boundary_info_at(i: usize) -> (&'static str, &'static str) {
-    with_table(|t| t.get(i).copied().unwrap_or(("?", "?")))
+/// Every registered (component, name) pair, in id order (ids are dense,
+/// so entry `i` is `BoundaryId(i)`).
+pub(crate) fn boundary_names() -> Vec<(&'static str, &'static str)> {
+    with_table(|t| t.clone())
 }
 
 /// Interns a boundary once per call site and caches the id in a hidden
@@ -120,16 +96,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, register_boundary("testcomp", "seam_a"));
         assert_eq!(boundary_info(a), ("testcomp", "seam_a"));
-    }
-
-    #[test]
-    fn unattributed_is_slot_zero() {
-        assert_eq!(BoundaryId::UNATTRIBUTED.index(), 0);
-        assert_eq!(
-            boundary_info(BoundaryId::UNATTRIBUTED),
-            ("machine", "unattributed")
-        );
-        assert!(boundary_count() >= 1);
     }
 
     #[test]

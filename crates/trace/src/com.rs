@@ -33,12 +33,10 @@ pub trait Trace: IUnknown {
     fn trace_metrics(&self) -> TraceReport;
     /// Drains buffered structured events, oldest first.
     fn trace_drain_events(&self) -> Vec<TraceEvent>;
-    /// Events rejected because the ring was full.
+    /// Events the flight recorder overwrote to make room for newer ones.
     fn trace_dropped(&self) -> u64;
     /// Resets counters and discards buffered events.
     fn trace_clear(&self);
-    /// Whether recording is compiled in (`trace` feature).
-    fn trace_enabled(&self) -> bool;
 }
 com_interface_decl!(Trace, oskit_iid(0xC0), "oskit_trace");
 
@@ -69,13 +67,10 @@ impl Trace for TraceObj {
         self.tracer.drain_events()
     }
     fn trace_dropped(&self) -> u64 {
-        self.tracer.dropped()
+        self.tracer.overwritten()
     }
     fn trace_clear(&self) {
         self.tracer.clear()
-    }
-    fn trace_enabled(&self) -> bool {
-        Tracer::enabled()
     }
 }
 com_object!(TraceObj, me, [Trace]);
@@ -111,17 +106,12 @@ pub fn register_com_object() {
 /// Starts counting COM interface queries against the process-global
 /// tracer, attributed to the `("com", <interface name>)` boundary.
 ///
-/// With the `trace` feature off this installs nothing at all, so
-/// `query_interface` dispatch stays exactly as cheap as the seed.
 /// Idempotent; later calls (and later hook installers) are ignored.
 pub fn instrument_com_dispatch() {
-    #[cfg(feature = "trace")]
-    {
-        let _ = oskit_com::dispatch::set_query_hook(|iface| {
-            let b = crate::boundary::register_boundary("com", iface);
-            global().count(b, crate::event::EventKind::Crossing);
-        });
-    }
+    let _ = oskit_com::dispatch::set_query_hook(|iface| {
+        let b = crate::boundary::register_boundary("com", iface);
+        global().count(b, crate::event::EventKind::Crossing);
+    });
 }
 
 #[cfg(test)]
@@ -132,8 +122,7 @@ mod tests {
     #[test]
     fn trace_obj_is_queryable() {
         let obj = TraceObj::new(Tracer::new());
-        let t = obj.query::<dyn Trace>().unwrap();
-        assert_eq!(t.trace_enabled(), cfg!(feature = "trace"));
+        assert!(obj.query::<dyn Trace>().is_some());
         let names: Vec<_> = obj.interfaces().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["oskit_trace"]);
     }
@@ -146,7 +135,6 @@ mod tests {
         // The global tracer is shared: metrics are visible through COM.
         let b = crate::boundary!("testcomp", "com_round_trip");
         global().count(b, crate::event::EventKind::Crossing);
-        #[cfg(feature = "trace")]
         assert!(
             t.trace_metrics()
                 .get("testcomp", "com_round_trip")
@@ -154,11 +142,8 @@ mod tests {
                 .crossings
                 >= 1
         );
-        #[cfg(not(feature = "trace"))]
-        assert!(t.trace_metrics().get("testcomp", "com_round_trip").unwrap().is_zero());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn dispatch_hook_counts_queries() {
         instrument_com_dispatch();

@@ -28,6 +28,9 @@ pub enum EventKind {
     Wakeup,
     /// An interrupt was delivered at this boundary.
     Irq,
+    /// A NIC receive interrupt was delivered at this boundary (counted
+    /// as an `Irq` too).
+    RxIrq,
     /// A budgeted poll (NAPI-style batch drain) ran at this boundary.
     Poll {
         /// Number of frames the poll delivered.
@@ -54,6 +57,19 @@ pub enum EventKind {
     /// A cached block was evicted (written back first if dirty) at this
     /// boundary to make room.
     CacheEvict,
+    /// One layer of per-packet protocol processing ran at this boundary.
+    Layer,
+    /// A checksum pass ran at this boundary.
+    Checksum {
+        /// Number of bytes checksummed.
+        bytes: u64,
+    },
+    /// A frame was handed to the NIC this boundary's driver services, to
+    /// transmit.
+    PacketSent,
+    /// The NIC this boundary's driver services queued a frame on its
+    /// receive ring.
+    PacketReceived,
 }
 
 impl fmt::Display for EventKind {
@@ -65,12 +81,17 @@ impl fmt::Display for EventKind {
             EventKind::Sleep => write!(f, "sleep"),
             EventKind::Wakeup => write!(f, "wakeup"),
             EventKind::Irq => write!(f, "irq"),
+            EventKind::RxIrq => write!(f, "rx_irq"),
             EventKind::Poll { frames } => write!(f, "poll({frames} frames)"),
             EventKind::Gather { bytes } => write!(f, "gather({bytes}B)"),
             EventKind::AllocFailed { bytes } => write!(f, "alloc_failed({bytes}B)"),
             EventKind::CacheHit => write!(f, "cache_hit"),
             EventKind::CacheMiss => write!(f, "cache_miss"),
             EventKind::CacheEvict => write!(f, "cache_evict"),
+            EventKind::Layer => write!(f, "layer"),
+            EventKind::Checksum { bytes } => write!(f, "checksum({bytes}B)"),
+            EventKind::PacketSent => write!(f, "packet_sent"),
+            EventKind::PacketReceived => write!(f, "packet_received"),
         }
     }
 }

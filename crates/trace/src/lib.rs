@@ -3,9 +3,9 @@
 //! The paper's central measurement story (§5, Tables 1–3) is about
 //! *attributing* overhead: how many control transfers and payload copies
 //! does each layer of glue code add between encapsulated donor-OS
-//! components?  The seed repo answers only in aggregate, through the
-//! per-machine `WorkMeter`.  This crate refines that into a structured,
-//! always-cheap trace layer:
+//! components?  This crate holds the answer, and it is the machine's
+//! only ledger: every charge a component makes is booked on a named
+//! boundary, and aggregate counts are sums over boundaries.
 //!
 //! * **Boundaries** ([`BoundaryId`], [`register_boundary`], the
 //!   [`boundary!`] macro) — interned names for the glue seams between
@@ -15,15 +15,10 @@
 //!   observations: crossings, copies (with byte counts), allocations,
 //!   sleeps, wakeups and IRQs, each stamped with the machine's
 //!   *virtual* cost-model timestamp.
-//! * **The ring** ([`EventRing`]) — a fixed-capacity lock-free
-//!   (Vyukov-style MPMC) buffer; overflow rejects new events and counts
-//!   the drops rather than blocking or silently losing them.
-//! * **The tracer** ([`Tracer`]) — a cloneable handle combining
-//!   per-boundary atomic counters with an event ring.  Behind the
-//!   `trace` feature (off by default in this crate, enabled by the
-//!   `oskit` facade's default features): when off, [`Tracer`] is a
-//!   zero-sized type and every recording call is an empty `#[inline]`
-//!   function.
+//! * **The tracer** ([`Tracer`]) — a cloneable handle to one ledger:
+//!   per-boundary counters ([`BoundaryMetrics`]) plus a flight recorder
+//!   holding the newest [`RECORDER_CAPACITY`] events (older ones are
+//!   overwritten and counted), all under one plain `Mutex`.
 //! * **The COM export** ([`Trace`], [`TraceObj`],
 //!   [`register_com_object`]) — the OSKit way of exposing a service:
 //!   an interface with its own IID (`oskit_iid(0xC0)`), reachable via
@@ -41,11 +36,9 @@
 //! tracer.record(seam, EventKind::Copy { bytes: 1460 }, 2_500);
 //!
 //! let report = tracer.metrics();
-//! if Tracer::enabled() {
-//!     let m = report.get("freebsd-net", "rx_ether").unwrap();
-//!     assert_eq!(m.crossings, 1);
-//!     assert_eq!(m.bytes_copied, 1460);
-//! }
+//! let m = report.get("freebsd-net", "rx_ether").unwrap();
+//! assert_eq!(m.crossings, 1);
+//! assert_eq!(m.bytes_copied, 1460);
 //! ```
 //!
 //! The cost-model integration lives in `oskit-machine`
@@ -61,39 +54,14 @@ mod event;
 mod ring;
 mod tracer;
 
-pub use boundary::{
-    boundary_count, boundary_info, boundary_info_at, register_boundary, BoundaryId, MAX_BOUNDARIES,
-};
+pub use boundary::{boundary_info, register_boundary, BoundaryId, MAX_BOUNDARIES};
 pub use com::{global, instrument_com_dispatch, register_com_object, Trace, TraceObj, TRACE_IID};
 pub use event::{EventKind, TraceEvent};
-pub use ring::EventRing;
-pub use tracer::{BoundaryMetrics, TraceReport, Tracer, DEFAULT_RING_CAPACITY};
+pub use ring::RECORDER_CAPACITY;
+pub use tracer::{BoundaryMetrics, TraceReport, Tracer};
 
 #[cfg(test)]
 mod tests {
-    /// Satellite requirement: with the feature off, the tracer must be
-    /// free — zero-sized, recording nothing, reporting all-zero.
-    #[cfg(not(feature = "trace"))]
-    mod disabled {
-        use crate::*;
-
-        #[test]
-        fn tracer_is_zero_sized_and_inert() {
-            assert!(!Tracer::enabled());
-            assert_eq!(std::mem::size_of::<Tracer>(), 0);
-            let t = Tracer::new();
-            let b = crate::boundary!("off", "seam");
-            t.record(b, EventKind::Copy { bytes: 4096 }, 7);
-            t.count(b, EventKind::Crossing);
-            assert_eq!(t.dropped(), 0);
-            assert!(t.drain_events().is_empty());
-            let report = t.metrics();
-            assert!(report.nonzero().next().is_none());
-            assert_eq!(report.total_bytes_copied(), 0);
-        }
-    }
-
-    #[cfg(feature = "trace")]
     mod enabled {
         use crate::*;
 
@@ -127,15 +95,14 @@ mod tests {
             }
         }
 
-        /// Satellite requirement: a metrics snapshot taken while writer
-        /// threads are recording must be internally consistent — every
-        /// counter a value that was actually reached, and the final
-        /// snapshot exact.
+        /// A metrics snapshot taken while writer threads are recording
+        /// must be internally consistent — every counter a value that was
+        /// actually reached, and the final snapshot exact.
         #[test]
         fn snapshot_determinism_under_concurrent_writers() {
             const WRITERS: usize = 4;
             const PER_WRITER: u64 = 5_000;
-            let t = Tracer::with_ring_capacity(128);
+            let t = Tracer::new();
             let seam = crate::boundary!("en", "concurrent_seam");
 
             let handles: Vec<_> = (0..WRITERS)
@@ -166,21 +133,22 @@ mod tests {
             let m = *t.metrics().get("en", "concurrent_seam").unwrap();
             assert_eq!(m.copies, WRITERS as u64 * PER_WRITER);
             assert_eq!(m.bytes_copied, WRITERS as u64 * PER_WRITER * 10);
-            // Ring accounting is conservative: buffered + dropped = total.
+            // Recorder accounting is conservative: drained + overwritten
+            // = recorded.
             assert_eq!(
-                t.drain_events().len() as u64 + t.dropped(),
+                t.drain_events().len() as u64 + t.overwritten(),
                 WRITERS as u64 * PER_WRITER
             );
         }
 
         #[test]
         fn clear_resets_everything() {
-            let t = Tracer::with_ring_capacity(4);
+            let t = Tracer::new();
             let seam = crate::boundary!("en", "clear_seam");
-            for i in 0..10 {
+            for i in 0..RECORDER_CAPACITY as u64 + 6 {
                 t.record(seam, EventKind::Crossing, i);
             }
-            assert!(t.dropped() > 0);
+            assert!(t.overwritten() > 0);
             t.clear();
             assert!(t.drain_events().is_empty());
             assert!(t.metrics().get("en", "clear_seam").unwrap().is_zero());
@@ -211,33 +179,19 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Aggregate conservation: however pushes and pops
-            /// interleave, accepted = popped + remaining and
-            /// rejected = dropped.
-            fn ring_conservation(ops in proptest::collection::vec(0u8..3u8, 1..200)) {
-                let r = EventRing::with_capacity(8);
-                let mk = |s: u64| TraceEvent {
-                    seq: s,
-                    vtime_ns: 0,
-                    boundary: BoundaryId::UNATTRIBUTED,
-                    kind: EventKind::Crossing,
-                };
-                let (mut accepted, mut popped) = (0u64, 0u64);
-                for (i, op) in ops.iter().enumerate() {
-                    if *op < 2 {
-                        if r.try_push(mk(i as u64)) {
-                            accepted += 1;
-                        }
-                    } else if r.pop().is_some() {
-                        popped += 1;
-                    }
+            /// The flight recorder keeps exactly the newest events, in
+            /// order, and counts every one it overwrote.
+            #[test]
+            fn recorder_keeps_the_newest(n in 0u64..3 * RECORDER_CAPACITY as u64) {
+                let t = Tracer::new();
+                let seam = crate::boundary!("en", "recorder_seam");
+                for i in 0..n {
+                    t.record(seam, EventKind::Crossing, i);
                 }
-                let remaining = r.drain().len() as u64;
-                prop_assert_eq!(accepted, popped + remaining);
-                prop_assert_eq!(
-                    accepted + r.dropped(),
-                    ops.iter().filter(|&&o| o < 2).count() as u64
-                );
+                let kept = n.min(RECORDER_CAPACITY as u64);
+                let seqs: Vec<u64> = t.drain_events().iter().map(|e| e.seq).collect();
+                prop_assert!(seqs.iter().copied().eq(n - kept..n));
+                prop_assert_eq!(t.overwritten(), n.saturating_sub(RECORDER_CAPACITY as u64));
             }
         }
     }

@@ -1,247 +1,129 @@
-//! The fixed-capacity lock-free event ring.
+//! The flight recorder: the most recent trace events, kept in a bounded
+//! ring that overwrites its oldest entry when full.
 //!
-//! A bounded multi-producer/multi-consumer queue in the style of Dmitry
-//! Vyukov's array queue: each slot carries its own sequence number, so
-//! producers and consumers synchronize per-slot with no locks anywhere.
-//! When the ring is full, *new* events are rejected (the oldest context is
-//! usually the most valuable in a post-mortem) and the rejection is
-//! counted — overflow is never silent.
+//! A post-mortem wants the events leading up to the moment it looks, so
+//! the newest [`RECORDER_CAPACITY`] events survive and every overwritten
+//! one is counted — overflow is never silent.  The recorder is plain
+//! data: the [`Tracer`](crate::Tracer) keeps it under the same lock as
+//! the per-boundary counters.
 
-use crate::event::TraceEvent;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::boundary::BoundaryId;
+use crate::event::{EventKind, TraceEvent};
+use std::collections::VecDeque;
 
-struct Slot {
-    /// Per-slot sequence: `index` when empty and writable, `index + 1`
-    /// when full and readable, advancing by `capacity` per lap.
-    seq: AtomicUsize,
-    val: UnsafeCell<MaybeUninit<TraceEvent>>,
+/// How many events a tracer's flight recorder retains.
+pub const RECORDER_CAPACITY: usize = 4096;
+
+/// The newest [`RECORDER_CAPACITY`] events plus the sequence and
+/// overwrite counters.
+#[derive(Default)]
+pub(crate) struct FlightRecorder {
+    events: VecDeque<TraceEvent>,
+    next_seq: u64,
+    overwritten: u64,
 }
 
-/// A fixed-capacity lock-free ring of [`TraceEvent`]s.
-pub struct EventRing {
-    slots: Box<[Slot]>,
-    mask: usize,
-    head: AtomicUsize,
-    tail: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// SAFETY: slots are only accessed under the per-slot seq protocol; the
-// contained TraceEvent is Copy + Send.
-unsafe impl Send for EventRing {}
-unsafe impl Sync for EventRing {}
-
-impl EventRing {
-    /// Creates a ring holding up to `capacity` events (rounded up to a
-    /// power of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> EventRing {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                val: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        EventRing {
-            slots,
-            mask: cap - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+impl FlightRecorder {
+    /// Appends an event stamped with the next sequence number, evicting
+    /// (and counting) the oldest one if the recorder is full.
+    pub(crate) fn record(&mut self, boundary: BoundaryId, kind: EventKind, vtime_ns: u64) {
+        if self.events.len() == RECORDER_CAPACITY {
+            self.events.pop_front();
+            self.overwritten += 1;
         }
+        self.events.push_back(TraceEvent {
+            seq: self.next_seq,
+            vtime_ns,
+            boundary,
+            kind,
+        });
+        self.next_seq += 1;
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
+    /// Removes and returns the retained events, oldest first.
+    pub(crate) fn drain(&mut self) -> Vec<TraceEvent> {
+        self.events.drain(..).collect()
     }
 
-    /// Appends `ev`; returns `false` (and counts the drop) if full.
-    pub fn try_push(&self, ev: TraceEvent) -> bool {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                // Slot free at this lap: claim it.
-                match self.head.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gave this thread exclusive write
-                        // access to the slot until seq is published below.
-                        unsafe { (*slot.val.get()).write(ev) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if (seq as isize).wrapping_sub(pos as isize) < 0 {
-                // A full lap behind: the ring is full.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                // Another producer advanced head; retry at the front.
-                pos = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Removes and returns the oldest event, if any.
-    pub fn pop(&self) -> Option<TraceEvent> {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expected = pos.wrapping_add(1);
-            if seq == expected {
-                match self.tail.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gave this thread exclusive read
-                        // access; the slot was written before seq was set.
-                        let ev = unsafe { (*slot.val.get()).assume_init() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(ev);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if (seq as isize).wrapping_sub(expected as isize) < 0 {
-                // Not yet published: empty.
-                return None;
-            } else {
-                pos = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drains everything currently readable, in FIFO order.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.pop() {
-            out.push(ev);
-        }
-        out
-    }
-
-    /// How many events were rejected because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Approximate number of events currently buffered.
-    pub fn len(&self) -> usize {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
-        head.wrapping_sub(tail)
-    }
-
-    /// Whether the ring currently holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Events evicted to make room for newer ones.
+    pub(crate) fn overwritten(&self) -> u64 {
+        self.overwritten
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
-    use crate::BoundaryId;
-    use std::sync::Arc;
+    use crate::Tracer;
 
-    fn ev(seq: u64) -> TraceEvent {
-        TraceEvent {
-            seq,
-            vtime_ns: seq * 10,
-            boundary: BoundaryId::UNATTRIBUTED,
-            kind: EventKind::Crossing,
+    fn seqs(r: &mut FlightRecorder) -> Vec<u64> {
+        r.drain().iter().map(|e| e.seq).collect()
+    }
+
+    fn push(r: &mut FlightRecorder, n: u64) {
+        let b = crate::boundary!("ring-test", "seam");
+        for i in 0..n {
+            r.record(b, EventKind::Crossing, i * 10);
         }
     }
 
     #[test]
     fn fifo_order() {
-        let r = EventRing::with_capacity(8);
-        for i in 0..5 {
-            assert!(r.try_push(ev(i)));
-        }
-        let got: Vec<u64> = r.drain().iter().map(|e| e.seq).collect();
-        assert_eq!(got, [0, 1, 2, 3, 4]);
+        let mut r = FlightRecorder::default();
+        push(&mut r, 5);
+        assert_eq!(seqs(&mut r), [0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn overflow_drops_are_counted_not_silent() {
-        let r = EventRing::with_capacity(8);
-        for i in 0..20 {
-            r.try_push(ev(i));
-        }
-        assert_eq!(r.dropped(), 12);
-        // The *oldest* events are retained.
-        let got: Vec<u64> = r.drain().iter().map(|e| e.seq).collect();
-        assert_eq!(got, [0, 1, 2, 3, 4, 5, 6, 7]);
-        // After draining, capacity is available again and drops stop.
-        assert!(r.try_push(ev(99)));
-        assert_eq!(r.dropped(), 12);
+        let mut r = FlightRecorder::default();
+        push(&mut r, RECORDER_CAPACITY as u64 + 12);
+        assert_eq!(r.overwritten(), 12);
+        // The *newest* events are retained.
+        let got = seqs(&mut r);
+        assert_eq!(got.len(), RECORDER_CAPACITY);
+        assert_eq!(got[0], 12);
+        // After draining, capacity is available again and overwrites stop.
+        push(&mut r, 1);
+        assert_eq!(r.overwritten(), 12);
     }
 
     #[test]
     fn wraparound_many_laps() {
-        let r = EventRing::with_capacity(4);
-        for lap in 0..100u64 {
-            for i in 0..3 {
-                assert!(r.try_push(ev(lap * 3 + i)));
-            }
-            let got: Vec<u64> = r.drain().iter().map(|e| e.seq).collect();
-            assert_eq!(got, [lap * 3, lap * 3 + 1, lap * 3 + 2]);
-        }
-        assert_eq!(r.dropped(), 0);
+        let mut r = FlightRecorder::default();
+        let laps = 3 * RECORDER_CAPACITY as u64 + 7;
+        push(&mut r, laps);
+        let got = seqs(&mut r);
+        let first = laps - RECORDER_CAPACITY as u64;
+        assert!(got.iter().copied().eq(first..laps));
+        assert_eq!(r.overwritten(), first);
     }
 
     #[test]
     fn concurrent_producers_lose_nothing_uncounted() {
-        let r = Arc::new(EventRing::with_capacity(64));
+        let t = Tracer::new();
+        let b = crate::boundary!("ring-test", "concurrent");
         let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let r = Arc::clone(&r);
+            .map(|_| {
+                let t = t.clone();
                 std::thread::spawn(move || {
-                    let mut pushed = 0u64;
-                    for i in 0..1000 {
-                        if r.try_push(ev(t * 1000 + i)) {
-                            pushed += 1;
-                        }
+                    for i in 0..2000 {
+                        t.record(b, EventKind::Crossing, i);
                     }
-                    pushed
                 })
             })
             .collect();
         // A concurrent consumer drains while producers run.
-        let consumer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let mut got = 0u64;
-                for _ in 0..10_000 {
-                    if r.pop().is_some() {
-                        got += 1;
-                    }
-                }
-                got
-            })
-        };
-        let pushed: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
-        let consumed = consumer.join().unwrap();
-        let remaining = r.drain().len() as u64;
-        // Conservation: every push was either consumed, still buffered,
-        // or counted as dropped.
-        assert_eq!(pushed, consumed + remaining);
-        assert_eq!(pushed + r.dropped(), 4000);
+        let mut consumed = 0;
+        for _ in 0..100 {
+            consumed += t.drain_events().len() as u64;
+        }
+        for h in threads {
+            h.join().unwrap();
+        }
+        let remaining = t.drain_events().len() as u64;
+        // Conservation: every event was drained, is still buffered, or
+        // was counted as overwritten.
+        assert_eq!(consumed + remaining + t.overwritten(), 8000);
     }
 }

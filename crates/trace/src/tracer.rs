@@ -1,45 +1,11 @@
-//! The per-machine tracer: per-boundary metric counters plus the event
-//! ring, behind a handle that compiles to a zero-sized no-op when the
-//! `trace` feature is off.
+//! The per-machine tracer: the per-boundary counters that are the
+//! machine's only ledger, plus the flight recorder, under one lock.
 
-use crate::boundary::{boundary_count, BoundaryId};
-#[cfg(feature = "trace")]
-use crate::boundary::MAX_BOUNDARIES;
+use crate::boundary::{boundary_names, BoundaryId};
 use crate::event::{EventKind, TraceEvent};
+use crate::ring::FlightRecorder;
 use std::fmt;
-
-#[cfg(feature = "trace")]
-use crate::ring::EventRing;
-#[cfg(feature = "trace")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "trace")]
-use std::sync::Arc;
-
-/// Default capacity of a tracer's event ring, in events.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Live atomic counters for one boundary.
-#[cfg(feature = "trace")]
-#[derive(Default)]
-struct BoundaryStats {
-    crossings: AtomicU64,
-    copies: AtomicU64,
-    bytes_copied: AtomicU64,
-    gathers: AtomicU64,
-    bytes_gathered: AtomicU64,
-    allocs: AtomicU64,
-    bytes_allocated: AtomicU64,
-    alloc_failed: AtomicU64,
-    sleeps: AtomicU64,
-    wakeups: AtomicU64,
-    irqs: AtomicU64,
-    polls: AtomicU64,
-    poll_frames: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    vtime_ns: AtomicU64,
-}
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A point-in-time snapshot of one boundary's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,28 +52,70 @@ pub struct BoundaryMetrics {
     /// Virtual nanoseconds spent inside spans opened at this seam
     /// (reported by `BoundarySpan` guards in `oskit-machine`).
     pub vtime_ns: u64,
+    /// Per-packet protocol layers processed at this seam.
+    pub layers: u64,
+    /// Checksum passes run at this seam.
+    pub checksums: u64,
+    /// Total bytes those checksum passes covered.
+    pub bytes_checksummed: u64,
+    /// The subset of `irqs` raised by a NIC's receive path — the
+    /// quantity interrupt mitigation exists to shrink.
+    pub rx_irqs: u64,
+    /// Frames handed to the NIC this seam's driver services, to transmit.
+    pub packets_sent: u64,
+    /// Frames that NIC queued on its receive ring.
+    pub packets_received: u64,
 }
 
 impl BoundaryMetrics {
     /// True when every counter is zero.
     pub fn is_zero(&self) -> bool {
-        self.crossings == 0
-            && self.copies == 0
-            && self.bytes_copied == 0
-            && self.gathers == 0
-            && self.bytes_gathered == 0
-            && self.allocs == 0
-            && self.bytes_allocated == 0
-            && self.alloc_failed == 0
-            && self.sleeps == 0
-            && self.wakeups == 0
-            && self.irqs == 0
-            && self.polls == 0
-            && self.poll_frames == 0
-            && self.cache_hits == 0
-            && self.cache_misses == 0
-            && self.cache_evictions == 0
-            && self.vtime_ns == 0
+        *self
+            == BoundaryMetrics {
+                component: self.component,
+                name: self.name,
+                ..BoundaryMetrics::default()
+            }
+    }
+
+    fn add(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::Crossing => self.crossings += 1,
+            EventKind::Copy { bytes } => {
+                self.copies += 1;
+                self.bytes_copied += bytes;
+            }
+            EventKind::Alloc { bytes } => {
+                self.allocs += 1;
+                self.bytes_allocated += bytes;
+            }
+            EventKind::Sleep => self.sleeps += 1,
+            EventKind::Wakeup => self.wakeups += 1,
+            EventKind::Irq => self.irqs += 1,
+            EventKind::RxIrq => {
+                self.irqs += 1;
+                self.rx_irqs += 1;
+            }
+            EventKind::Poll { frames } => {
+                self.polls += 1;
+                self.poll_frames += frames;
+            }
+            EventKind::Gather { bytes } => {
+                self.gathers += 1;
+                self.bytes_gathered += bytes;
+            }
+            EventKind::AllocFailed { .. } => self.alloc_failed += 1,
+            EventKind::CacheHit => self.cache_hits += 1,
+            EventKind::CacheMiss => self.cache_misses += 1,
+            EventKind::CacheEvict => self.cache_evictions += 1,
+            EventKind::Layer => self.layers += 1,
+            EventKind::Checksum { bytes } => {
+                self.checksums += 1;
+                self.bytes_checksummed += bytes;
+            }
+            EventKind::PacketSent => self.packets_sent += 1,
+            EventKind::PacketReceived => self.packets_received += 1,
+        }
     }
 }
 
@@ -118,9 +126,6 @@ pub struct TraceReport {
     /// order (index == [`BoundaryId::index`]).  Boundaries this tracer
     /// never touched are present with all-zero counters.
     pub boundaries: Vec<BoundaryMetrics>,
-    /// Events rejected because the ring was full (see
-    /// [`crate::EventRing`]).
-    pub events_dropped: u64,
 }
 
 impl TraceReport {
@@ -135,31 +140,13 @@ impl TraceReport {
     pub fn nonzero(&self) -> impl Iterator<Item = &BoundaryMetrics> {
         self.boundaries.iter().filter(|b| !b.is_zero())
     }
-
-    /// Sum of bytes copied across every boundary.  When all charges are
-    /// attributed this equals the aggregate
-    /// `WorkMeter` `bytes_copied`.
-    pub fn total_bytes_copied(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.bytes_copied).sum()
-    }
-
-    /// Sum of crossings across every boundary.
-    pub fn total_crossings(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.crossings).sum()
-    }
-
-    /// Sum of bytes moved by scatter-gather hand-offs across every
-    /// boundary.
-    pub fn total_bytes_gathered(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.bytes_gathered).sum()
-    }
 }
 
 impl fmt::Display for TraceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>7} {:>9} {:>7} {:>8} {:>5} {:>6} {:>11} {:>7} {:>7} {:>7} {:>12}",
+            "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>7} {:>9} {:>7} {:>8} {:>5} {:>6} {:>11} {:>7} {:>7} {:>7} {:>6} {:>11} {:>12}",
             "boundary",
             "crossings",
             "copies",
@@ -175,12 +162,14 @@ impl fmt::Display for TraceReport {
             "c-hits",
             "c-miss",
             "c-evict",
+            "layers",
+            "bytes-cksum",
             "vtime-ns"
         )?;
         for b in self.nonzero() {
             writeln!(
                 f,
-                "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>7} {:>9} {:>7} {:>8} {:>5} {:>6} {:>11} {:>7} {:>7} {:>7} {:>12}",
+                "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>7} {:>9} {:>7} {:>8} {:>5} {:>6} {:>11} {:>7} {:>7} {:>7} {:>6} {:>11} {:>12}",
                 format!("{}::{}", b.component, b.name),
                 b.crossings,
                 b.copies,
@@ -196,274 +185,123 @@ impl fmt::Display for TraceReport {
                 b.cache_hits,
                 b.cache_misses,
                 b.cache_evictions,
+                b.layers,
+                b.bytes_checksummed,
                 b.vtime_ns
             )?;
-        }
-        if self.events_dropped > 0 {
-            writeln!(f, "  ({} trace events dropped)", self.events_dropped)?;
         }
         Ok(())
     }
 }
 
-#[cfg(feature = "trace")]
-struct TracerCore {
-    stats: Box<[BoundaryStats]>,
-    ring: EventRing,
-    next_seq: AtomicU64,
+/// Everything a tracer guards with its one lock.
+#[derive(Default)]
+struct Ledger {
+    /// Counters indexed by [`BoundaryId::index`], grown on first use.
+    boundaries: Vec<BoundaryMetrics>,
+    recorder: FlightRecorder,
 }
 
-#[cfg(feature = "trace")]
-impl TracerCore {
-    fn new(ring_capacity: usize) -> TracerCore {
-        TracerCore {
-            stats: (0..MAX_BOUNDARIES).map(|_| BoundaryStats::default()).collect(),
-            ring: EventRing::with_capacity(ring_capacity),
-            next_seq: AtomicU64::new(0),
+impl Ledger {
+    fn at(&mut self, boundary: BoundaryId) -> &mut BoundaryMetrics {
+        let i = boundary.index();
+        if i >= self.boundaries.len() {
+            self.boundaries.resize(i + 1, BoundaryMetrics::default());
         }
-    }
-
-    fn bump(&self, boundary: BoundaryId, kind: EventKind) {
-        let s = &self.stats[boundary.index()];
-        match kind {
-            EventKind::Crossing => {
-                s.crossings.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Copy { bytes } => {
-                s.copies.fetch_add(1, Ordering::Relaxed);
-                s.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
-            }
-            EventKind::Alloc { bytes } => {
-                s.allocs.fetch_add(1, Ordering::Relaxed);
-                s.bytes_allocated.fetch_add(bytes, Ordering::Relaxed);
-            }
-            EventKind::Sleep => {
-                s.sleeps.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Wakeup => {
-                s.wakeups.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Irq => {
-                s.irqs.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Poll { frames } => {
-                s.polls.fetch_add(1, Ordering::Relaxed);
-                s.poll_frames.fetch_add(frames, Ordering::Relaxed);
-            }
-            EventKind::Gather { bytes } => {
-                s.gathers.fetch_add(1, Ordering::Relaxed);
-                s.bytes_gathered.fetch_add(bytes, Ordering::Relaxed);
-            }
-            EventKind::AllocFailed { .. } => {
-                s.alloc_failed.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheHit => {
-                s.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheMiss => {
-                s.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheEvict => {
-                s.cache_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        &mut self.boundaries[i]
     }
 }
 
 /// A cloneable handle to one tracing domain (normally: one simulated
 /// machine).
 ///
-/// With the `trace` feature enabled the handle shares a core of
-/// per-boundary atomic counters plus an
-/// [`EventRing`](crate::EventRing); recording is a handful of relaxed
-/// atomic ops.  With the feature disabled the handle is a zero-sized
-/// type and every method is an empty inline function the optimizer
-/// erases entirely.
+/// Clones share one ledger: the per-boundary counters and the flight
+/// recorder, behind a single `Mutex`.  The lock is a leaf — nothing is
+/// called while it is held — so a snapshot is consistent across every
+/// counter, and under the simulator's run token it is never contended.
 ///
 /// ```
 /// use oskit_trace::{boundary, EventKind, Tracer};
 /// let t = Tracer::new();
 /// t.record(boundary!("doc", "seam"), EventKind::Copy { bytes: 64 }, 10);
 /// let report = t.metrics();
-/// # #[cfg(feature = "trace")]
 /// assert_eq!(report.get("doc", "seam").unwrap().bytes_copied, 64);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
-    core: Arc<TracerCore>,
+    ledger: Arc<Mutex<Ledger>>,
 }
 
 impl Tracer {
-    /// Creates a tracer with the default ring capacity.
+    /// Creates a tracer with all counters zero and no events recorded.
     pub fn new() -> Tracer {
-        Tracer::with_ring_capacity(DEFAULT_RING_CAPACITY)
+        Tracer::default()
     }
 
-    /// Creates a tracer whose ring holds `capacity` events.
-    #[allow(unused_variables)]
-    pub fn with_ring_capacity(capacity: usize) -> Tracer {
-        Tracer {
-            #[cfg(feature = "trace")]
-            core: Arc::new(TracerCore::new(capacity)),
-        }
-    }
-
-    /// Whether event recording is compiled in.
-    pub const fn enabled() -> bool {
-        cfg!(feature = "trace")
+    /// Every update under the lock is one whole counter bump or event
+    /// push, so the ledger stays valid even if a holder panicked.
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records a full structured event: bumps the boundary's counters
-    /// and appends to the event ring (counting, not silently dropping,
-    /// on overflow).
-    #[allow(unused_variables)]
-    #[inline]
+    /// and appends to the flight recorder (overwriting, and counting, its
+    /// oldest event when full).
     pub fn record(&self, boundary: BoundaryId, kind: EventKind, vtime_ns: u64) {
-        #[cfg(feature = "trace")]
-        {
-            self.core.bump(boundary, kind);
-            let seq = self.core.next_seq.fetch_add(1, Ordering::Relaxed);
-            self.core.ring.try_push(TraceEvent {
-                seq,
-                vtime_ns,
-                boundary,
-                kind,
-            });
-        }
+        let mut ledger = self.ledger();
+        ledger.at(boundary).add(kind);
+        ledger.recorder.record(boundary, kind, vtime_ns);
     }
 
-    /// Bumps the boundary's counters without emitting a ring event.
+    /// Bumps the boundary's counters without emitting a recorder event.
     ///
     /// Used on paths too hot (or too global) for per-event storage,
     /// e.g. COM interface dispatch.
-    #[allow(unused_variables)]
-    #[inline]
     pub fn count(&self, boundary: BoundaryId, kind: EventKind) {
-        #[cfg(feature = "trace")]
-        self.core.bump(boundary, kind);
+        self.ledger().at(boundary).add(kind);
     }
 
     /// Attributes `ns` of virtual time to `boundary` (reported by span
     /// guards when they close).
-    #[allow(unused_variables)]
-    #[inline]
     pub fn add_vtime(&self, boundary: BoundaryId, ns: u64) {
-        #[cfg(feature = "trace")]
-        self.core.stats[boundary.index()]
-            .vtime_ns
-            .fetch_add(ns, Ordering::Relaxed);
+        self.ledger().at(boundary).vtime_ns += ns;
     }
 
-    /// Snapshots every registered boundary's counters.
-    ///
-    /// The snapshot is per-counter atomic; under concurrent writers each
-    /// value is some value the counter actually held.
+    /// Snapshots every registered boundary's counters, consistently:
+    /// no event is half-counted in the result.
     pub fn metrics(&self) -> TraceReport {
-        let mut report = TraceReport {
-            boundaries: Vec::new(),
-            events_dropped: self.dropped(),
-        };
-        for i in 0..boundary_count() {
-            let (component, name) = crate::boundary::boundary_info_at(i);
-            #[cfg(feature = "trace")]
-            let m = {
-                let s = &self.core.stats[i];
-                BoundaryMetrics {
-                    component,
-                    name,
-                    crossings: s.crossings.load(Ordering::Relaxed),
-                    copies: s.copies.load(Ordering::Relaxed),
-                    bytes_copied: s.bytes_copied.load(Ordering::Relaxed),
-                    gathers: s.gathers.load(Ordering::Relaxed),
-                    bytes_gathered: s.bytes_gathered.load(Ordering::Relaxed),
-                    allocs: s.allocs.load(Ordering::Relaxed),
-                    bytes_allocated: s.bytes_allocated.load(Ordering::Relaxed),
-                    alloc_failed: s.alloc_failed.load(Ordering::Relaxed),
-                    sleeps: s.sleeps.load(Ordering::Relaxed),
-                    wakeups: s.wakeups.load(Ordering::Relaxed),
-                    irqs: s.irqs.load(Ordering::Relaxed),
-                    polls: s.polls.load(Ordering::Relaxed),
-                    poll_frames: s.poll_frames.load(Ordering::Relaxed),
-                    cache_hits: s.cache_hits.load(Ordering::Relaxed),
-                    cache_misses: s.cache_misses.load(Ordering::Relaxed),
-                    cache_evictions: s.cache_evictions.load(Ordering::Relaxed),
-                    vtime_ns: s.vtime_ns.load(Ordering::Relaxed),
-                }
-            };
-            #[cfg(not(feature = "trace"))]
-            let m = BoundaryMetrics {
+        let names = boundary_names();
+        let counts = self.ledger().boundaries.clone();
+        let boundaries = names
+            .into_iter()
+            .enumerate()
+            .map(|(i, (component, name))| BoundaryMetrics {
                 component,
                 name,
-                ..BoundaryMetrics::default()
-            };
-            report.boundaries.push(m);
-        }
-        report
+                ..counts.get(i).copied().unwrap_or_default()
+            })
+            .collect();
+        TraceReport { boundaries }
     }
 
-    /// Removes and returns all buffered events, oldest first.
+    /// Removes and returns the flight recorder's events, oldest first.
     pub fn drain_events(&self) -> Vec<TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            self.core.ring.drain()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.ledger().recorder.drain()
     }
 
-    /// Number of events rejected because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.core.ring.dropped()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+    /// Number of events the flight recorder overwrote to make room.
+    pub fn overwritten(&self) -> u64 {
+        self.ledger().recorder.overwritten()
     }
 
-    /// Resets every counter and discards buffered events.
+    /// Resets every counter and empties the flight recorder.
     pub fn clear(&self) {
-        #[cfg(feature = "trace")]
-        {
-            for s in self.core.stats.iter() {
-                s.crossings.store(0, Ordering::Relaxed);
-                s.copies.store(0, Ordering::Relaxed);
-                s.bytes_copied.store(0, Ordering::Relaxed);
-                s.gathers.store(0, Ordering::Relaxed);
-                s.bytes_gathered.store(0, Ordering::Relaxed);
-                s.allocs.store(0, Ordering::Relaxed);
-                s.bytes_allocated.store(0, Ordering::Relaxed);
-                s.alloc_failed.store(0, Ordering::Relaxed);
-                s.sleeps.store(0, Ordering::Relaxed);
-                s.wakeups.store(0, Ordering::Relaxed);
-                s.irqs.store(0, Ordering::Relaxed);
-                s.polls.store(0, Ordering::Relaxed);
-                s.poll_frames.store(0, Ordering::Relaxed);
-                s.cache_hits.store(0, Ordering::Relaxed);
-                s.cache_misses.store(0, Ordering::Relaxed);
-                s.cache_evictions.store(0, Ordering::Relaxed);
-                s.vtime_ns.store(0, Ordering::Relaxed);
-            }
-            while self.core.ring.pop().is_some() {}
-        }
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
+        *self.ledger() = Ledger::default();
     }
 }
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &Tracer::enabled())
-            .finish()
+        f.debug_struct("Tracer").finish_non_exhaustive()
     }
 }

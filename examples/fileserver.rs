@@ -158,7 +158,7 @@ fn server_main(k: &Kernel) {
         }
     }
     // The SENDFILE verb queued cache pages, not copies, at the socket.
-    let m = k.machine.meter.snapshot();
+    let m = k.machine.work();
     assert!(
         m.bytes_gathered >= 64 * 1024,
         "sendfile never gathered: {m:?}"

@@ -572,7 +572,7 @@ fn run_ttcp() {
         "sender copies: {} B; receiver copies: {} B — the send path pays the\n\
          mbuf→skbuff conversion, so a language receiver outruns a language\n\
          sender, exactly as Java/PC's 78 vs 59 Mbps (§6.2.6).",
-        ka.machine.meter.snapshot().bytes_copied,
-        kb.machine.meter.snapshot().bytes_copied
+        ka.machine.work().bytes_copied,
+        kb.machine.work().bytes_copied
     );
 }

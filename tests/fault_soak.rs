@@ -19,8 +19,7 @@
 
 use oskit::com::interfaces::fs::FileSystem;
 use oskit::machine::{
-    AllocFaults, DiskFaults, FaultInjector, FaultPlan, FaultSnapshot, IrqFaults, NicFaults, Sim,
-    WorkSnapshot,
+    AllocFaults, DiskFaults, FaultPlan, FaultSnapshot, IrqFaults, NicFaults, Sim, WorkSnapshot,
 };
 use oskit::netbsd_fs::FfsFileSystem;
 use oskit::{ttcp_run_faulted, KernelBuilder, NetConfig};
@@ -75,10 +74,6 @@ fn netstack_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot,
 
 #[test]
 fn netstack_survives_seeded_faults_deterministically() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (sf, rf, sw, rw) = netstack_soak_once(0xDEAD_BEEF);
 
     // The plan must actually have bitten, on every class it scripts.
@@ -140,14 +135,6 @@ fn napi_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot, Wor
 /// deterministically.
 #[test]
 fn napi_receiver_survives_lost_coalesced_irqs() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
-    if !oskit::linux_dev::NetDevice::napi_compiled() {
-        eprintln!("napi feature compiled out; soak skipped");
-        return;
-    }
     let (sf, rf, sw, rw) = napi_soak_once(0x0a51_50ac);
 
     // The plan bit: receive-side interrupts actually got lost...
@@ -207,15 +194,11 @@ fn fileserver_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
         fs.unmount().unwrap();
     });
     sim.run();
-    (kernel.machine.faults().stats(), kernel.machine.meter.snapshot())
+    (kernel.machine.faults().stats(), kernel.machine.work())
 }
 
 #[test]
 fn fileserver_survives_seeded_faults_deterministically() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (fl, wk) = fileserver_soak_once(0x5EED_D15C);
 
     // Every scripted disk-fault class fired...
@@ -269,13 +252,13 @@ fn cache_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
         let mut back = vec![0u8; data.len()];
         assert_eq!(f.read_at(&mut back, 0).unwrap(), data.len());
         assert_eq!(back, data, "cache fill not byte-exact under faults");
-        let filled = k.machine.meter.snapshot();
+        let filled = k.machine.work();
         assert!(filled.cache_misses > 0, "cold pass never filled the cache");
         // The warm pass: same bytes, zero new fills.
         let mut again = vec![0u8; data.len()];
         assert_eq!(f.read_at(&mut again, 0).unwrap(), data.len());
         assert_eq!(again, data, "warm readback diverged");
-        let warm = k.machine.meter.snapshot();
+        let warm = k.machine.work();
         assert_eq!(
             warm.cache_misses, filled.cache_misses,
             "warm pass missed: the cache re-read the faulted disk"
@@ -284,15 +267,11 @@ fn cache_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
         fs.unmount().unwrap();
     });
     sim.run();
-    (kernel.machine.faults().stats(), kernel.machine.meter.snapshot())
+    (kernel.machine.faults().stats(), kernel.machine.work())
 }
 
 #[test]
 fn cache_fills_retry_under_disk_faults_and_hits_absorb_them() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (fl, wk) = cache_soak_once(0xCAC4_E5EE);
 
     // The plan bit the fill path...

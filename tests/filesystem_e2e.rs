@@ -36,7 +36,7 @@ fn mkfs_mount_use_over_ide_driver() {
     });
     sim.run();
     // The writes really reached the (simulated) platters: interrupts fired.
-    assert!(kernel.machine.meter.snapshot().irqs > 0);
+    assert!(kernel.machine.work().irqs > 0);
 }
 
 #[test]

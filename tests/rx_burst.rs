@@ -93,7 +93,7 @@ fn run_burst(napi: bool, payloads: Vec<Vec<u8>>, burst_len: usize, gap_ns: u64) 
     let got = got.lock().clone();
     RigResult {
         got,
-        meter: mb.meter.snapshot(),
+        meter: mb.work(),
         nic_dropped: nb.rx_dropped(),
         dev_dropped: db.stats.rx_dropped.load(std::sync::atomic::Ordering::Relaxed),
     }
@@ -112,9 +112,6 @@ fn burst_soak_is_byte_exact_in_both_modes() {
     assert_eq!(classic.meter.rx_irqs, 96);
     assert_eq!(classic.meter.rx_polls, 0);
 
-    if !NetDevice::napi_compiled() {
-        return;
-    }
     let napi = run_burst(true, payloads.clone(), 32, 300_000);
     assert_eq!(napi.got, payloads, "NAPI mode corrupted the stream");
     assert_eq!(napi.nic_dropped, 0);
@@ -143,9 +140,6 @@ fn burst_soak_is_byte_exact_in_both_modes() {
 /// frames, it does not wait for a batch that will never fill.
 #[test]
 fn napi_sparse_arrivals_are_not_starved() {
-    if !NetDevice::napi_compiled() {
-        return;
-    }
     let payloads = burst_payloads(0x51_0e11, 12);
     let r = run_burst(true, payloads.clone(), 1, 2_000_000);
     assert_eq!(r.got, payloads);

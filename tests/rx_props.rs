@@ -82,7 +82,7 @@ fn run_pattern(
     });
     sim.run();
     let got = got.lock().clone();
-    (got, mb.meter.snapshot())
+    (got, mb.work())
 }
 
 proptest! {
@@ -100,9 +100,6 @@ proptest! {
         let (classic, cm) = run_pattern(false, 0, payloads.clone(), gaps.clone());
         prop_assert_eq!(&classic, &payloads);
         prop_assert_eq!(cm.rx_polls, 0);
-        if !NetDevice::napi_compiled() {
-            return Ok(());
-        }
         let (napi, nm) = run_pattern(true, budget, payloads.clone(), gaps);
         prop_assert_eq!(&napi, &payloads);
         prop_assert_eq!(&napi, &classic);
@@ -121,9 +118,6 @@ proptest! {
         budget in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        if !NetDevice::napi_compiled() {
-            return Ok(());
-        }
         let sim = Sim::new();
         let ma = Machine::new(&sim, "a", 1 << 20);
         let mb = Machine::new(&sim, "b", 1 << 20);
@@ -163,7 +157,7 @@ proptest! {
         });
         sim.run();
         prop_assert_eq!(&*got.lock(), &expect);
-        let m = mb.meter.snapshot();
+        let m = mb.work();
         prop_assert_eq!(m.rx_polls, n.div_ceil(budget) as u64);
         prop_assert_eq!(m.rx_batch_frames, n as u64);
         prop_assert!(nb.rx_irq_armed());

@@ -15,7 +15,6 @@ use oskit::com::interfaces::fs::{FileBufIo, FileSystem};
 use oskit::com::interfaces::socket::SendBufIo;
 use oskit::com::interfaces::stream::Stream;
 use oskit::com::{com_object, new_com, Query, Result, SelfRef};
-use oskit::machine::Tracer;
 use oskit::netbsd_fs::FfsFileSystem;
 use oskit::{fileserve_run, ServeMode};
 use parking_lot::Mutex;
@@ -46,20 +45,24 @@ fn sendfile_copies_zero_bytes_at_every_glue_seam() {
         r.bytes
     );
 
-    if Tracer::enabled() {
-        // The headline claim, pinned to the exact seams: zero bytes
-        // copied where the file hands pages to the socket, and zero
-        // where the driver hands fragments to the wire.
-        let sockbuf = r.server_boundaries.get("freebsd-net", "sockbuf").expect("sockbuf row");
-        assert_eq!(sockbuf.bytes_copied, 0, "uiomove ran on the sendfile path");
-        assert!(sockbuf.bytes_gathered >= r.bytes);
-        let tx = r.server_boundaries.get("linux-dev", "ether_tx").expect("ether_tx row");
-        assert_eq!(tx.bytes_copied, 0, "driver flattened the fragments");
-        assert!(tx.gathers > 0, "driver never gathered");
-        // And the cache→caller copy-out seam never ran at all.
-        if let Some(fsr) = r.server_boundaries.get("netbsd-fs", "fs_read") {
-            assert_eq!(fsr.bytes_copied, 0, "read_at bounce ran during sendfile");
-        }
+    // The headline claim, pinned to the exact seams: zero bytes
+    // copied where the file hands pages to the socket, and zero
+    // where the driver hands fragments to the wire.
+    let sockbuf = r
+        .server_boundaries
+        .get("freebsd-net", "sockbuf")
+        .expect("sockbuf row");
+    assert_eq!(sockbuf.bytes_copied, 0, "uiomove ran on the sendfile path");
+    assert!(sockbuf.bytes_gathered >= r.bytes);
+    let tx = r
+        .server_boundaries
+        .get("linux-dev", "ether_tx")
+        .expect("ether_tx row");
+    assert_eq!(tx.bytes_copied, 0, "driver flattened the fragments");
+    assert!(tx.gathers > 0, "driver never gathered");
+    // And the cache→caller copy-out seam never ran at all.
+    if let Some(fsr) = r.server_boundaries.get("netbsd-fs", "fs_read") {
+        assert_eq!(fsr.bytes_copied, 0, "read_at bounce ran during sendfile");
     }
 }
 
@@ -77,17 +80,15 @@ fn copying_modes_pay_the_copies_sendfile_avoids() {
         r.bytes
     );
     assert_eq!(r.server.cache_misses, 0, "warm cache missed");
-    if Tracer::enabled() {
-        for seam in [("netbsd-fs", "fs_read"), ("freebsd-net", "sockbuf")] {
-            let b = r.server_boundaries.get(seam.0, seam.1).expect("seam row");
-            assert!(
-                b.bytes_copied >= r.bytes,
-                "{}::{} copied only {} bytes",
-                seam.0,
-                seam.1,
-                b.bytes_copied
-            );
-        }
+    for seam in [("netbsd-fs", "fs_read"), ("freebsd-net", "sockbuf")] {
+        let b = r.server_boundaries.get(seam.0, seam.1).expect("seam row");
+        assert!(
+            b.bytes_copied >= r.bytes,
+            "{}::{} copied only {} bytes",
+            seam.0,
+            seam.1,
+            b.bytes_copied
+        );
     }
 }
 

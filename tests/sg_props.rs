@@ -104,7 +104,7 @@ fn transmit(
     });
     sim.run();
     let frames = got.lock().unwrap().clone();
-    (frames, ma.meter.snapshot())
+    (frames, ma.work())
 }
 
 proptest! {
