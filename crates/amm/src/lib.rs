@@ -100,11 +100,7 @@ impl Amm {
         // Split the entry containing `end` at `end`.
         self.split_at(end);
         // Replace every entry inside [addr, end).
-        let inside: Vec<u64> = self
-            .entries
-            .range(addr..end)
-            .map(|(&s, _)| s)
-            .collect();
+        let inside: Vec<u64> = self.entries.range(addr..end).map(|(&s, _)| s).collect();
         for s in inside {
             self.entries.remove(&s);
         }
@@ -184,11 +180,9 @@ impl Amm {
 
     /// Iterates the entries in address order (`amm_iterate`).
     pub fn iter(&self) -> impl Iterator<Item = AmmEntry> + '_ {
-        self.entries.iter().map(|(&start, &(end, flags))| AmmEntry {
-            start,
-            end,
-            flags,
-        })
+        self.entries
+            .iter()
+            .map(|(&start, &(end, flags))| AmmEntry { start, end, flags })
     }
 
     /// Total bytes whose `mask`-masked flags equal `value`.

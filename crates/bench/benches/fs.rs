@@ -20,7 +20,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("write_read_64k_core", |b| {
         let dev = fresh_dev();
         let fs = FsCore::mount(&dev).unwrap();
-        let ino = fs.ialloc(oskit::netbsd_fs::ffs::ondisk::mode::IFREG | 0o644).unwrap();
+        let ino = fs
+            .ialloc(oskit::netbsd_fs::ffs::ondisk::mode::IFREG | 0o644)
+            .unwrap();
         let data = vec![0x5Au8; 65536];
         let mut back = vec![0u8; 65536];
         b.iter(|| {

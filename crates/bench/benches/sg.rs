@@ -27,7 +27,10 @@ fn chain_pkt(size: usize) -> Arc<MbufBufIo> {
     let hdr = size.min(54);
     let mut c = MbufChain::from_mbuf(Mbuf::small(&vec![0xABu8; hdr], 4));
     if size > hdr {
-        c.m_cat(MbufChain::from_mbuf(Mbuf::cluster(&vec![0xCDu8; size - hdr])));
+        c.m_cat(MbufChain::from_mbuf(Mbuf::cluster(&vec![
+            0xCDu8;
+            size - hdr
+        ])));
     }
     MbufBufIo::new(c)
 }

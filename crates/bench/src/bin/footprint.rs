@@ -20,7 +20,11 @@ fn main() {
     if let Ok(entries) = std::fs::read_dir(&deps) {
         for e in entries.flatten() {
             let p = e.path();
-            let name = p.file_name().unwrap_or_default().to_string_lossy().into_owned();
+            let name = p
+                .file_name()
+                .unwrap_or_default()
+                .to_string_lossy()
+                .into_owned();
             if name.starts_with("liboskit") && name.ends_with(".rlib") {
                 let base = name
                     .trim_start_matches("lib")
@@ -66,7 +70,14 @@ fn main() {
 
 fn print_bin(label: &str, path: &Path) {
     match path.metadata() {
-        Ok(m) => println!("  {:24} {:>8} KB (linked executable)", label, m.len() / 1024),
-        Err(_) => println!("  {:24} not built (cargo build --release --examples)", label),
+        Ok(m) => println!(
+            "  {:24} {:>8} KB (linked executable)",
+            label,
+            m.len() / 1024
+        ),
+        Err(_) => println!(
+            "  {:24} not built (cargo build --release --examples)",
+            label
+        ),
     }
 }

@@ -17,27 +17,132 @@ struct Row {
 }
 
 const ROWS: &[Row] = &[
-    Row { library: "com", description: "COM interfaces & support", dir: "com", donor_subdirs: &[] },
-    Row { library: "machine", description: "Simulated PC substrate", dir: "machine", donor_subdirs: &[] },
-    Row { library: "osenv", description: "Execution environment", dir: "osenv", donor_subdirs: &[] },
-    Row { library: "boot", description: "Bootstrap support", dir: "boot", donor_subdirs: &[] },
-    Row { library: "kern", description: "Kernel support", dir: "kern", donor_subdirs: &[] },
-    Row { library: "lmm", description: "List Memory Manager", dir: "lmm", donor_subdirs: &[] },
-    Row { library: "amm", description: "Address Map Manager", dir: "amm", donor_subdirs: &[] },
-    Row { library: "c", description: "Minimal C library", dir: "clib", donor_subdirs: &[] },
-    Row { library: "memdebug", description: "Malloc debugging", dir: "memdebug", donor_subdirs: &[] },
-    Row { library: "gdb", description: "GDB remote stub", dir: "gdb", donor_subdirs: &[] },
-    Row { library: "fdev", description: "Device driver support", dir: "fdev", donor_subdirs: &[] },
-    Row { library: "diskpart", description: "Disk partitioning", dir: "diskpart", donor_subdirs: &[] },
-    Row { library: "fsread", description: "File system reading", dir: "fsread", donor_subdirs: &[] },
-    Row { library: "exec", description: "Program loading", dir: "exec", donor_subdirs: &[] },
-    Row { library: "trace", description: "Observability substrate", dir: "trace", donor_subdirs: &[] },
-    Row { library: "fault", description: "Fault injection", dir: "fault", donor_subdirs: &[] },
-    Row { library: "bufcache", description: "Shared buffer cache", dir: "bufcache", donor_subdirs: &[] },
-    Row { library: "linux_dev", description: "Linux drivers & support", dir: "linux-dev", donor_subdirs: &["linux"] },
-    Row { library: "freebsd_net", description: "FreeBSD network stack", dir: "freebsd-net", donor_subdirs: &["bsd"] },
-    Row { library: "netbsd_fs", description: "NetBSD file system", dir: "netbsd-fs", donor_subdirs: &["ffs"] },
-    Row { library: "oskit (facade)", description: "Kernel builder & experiments", dir: "core", donor_subdirs: &[] },
+    Row {
+        library: "com",
+        description: "COM interfaces & support",
+        dir: "com",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "machine",
+        description: "Simulated PC substrate",
+        dir: "machine",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "osenv",
+        description: "Execution environment",
+        dir: "osenv",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "boot",
+        description: "Bootstrap support",
+        dir: "boot",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "kern",
+        description: "Kernel support",
+        dir: "kern",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "lmm",
+        description: "List Memory Manager",
+        dir: "lmm",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "amm",
+        description: "Address Map Manager",
+        dir: "amm",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "c",
+        description: "Minimal C library",
+        dir: "clib",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "memdebug",
+        description: "Malloc debugging",
+        dir: "memdebug",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "gdb",
+        description: "GDB remote stub",
+        dir: "gdb",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "fdev",
+        description: "Device driver support",
+        dir: "fdev",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "diskpart",
+        description: "Disk partitioning",
+        dir: "diskpart",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "fsread",
+        description: "File system reading",
+        dir: "fsread",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "exec",
+        description: "Program loading",
+        dir: "exec",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "trace",
+        description: "Observability substrate",
+        dir: "trace",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "fault",
+        description: "Fault injection",
+        dir: "fault",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "bufcache",
+        description: "Shared buffer cache",
+        dir: "bufcache",
+        donor_subdirs: &[],
+    },
+    Row {
+        library: "linux_dev",
+        description: "Linux drivers & support",
+        dir: "linux-dev",
+        donor_subdirs: &["linux"],
+    },
+    Row {
+        library: "freebsd_net",
+        description: "FreeBSD network stack",
+        dir: "freebsd-net",
+        donor_subdirs: &["bsd"],
+    },
+    Row {
+        library: "netbsd_fs",
+        description: "NetBSD file system",
+        dir: "netbsd-fs",
+        donor_subdirs: &["ffs"],
+    },
+    Row {
+        library: "oskit (facade)",
+        description: "Kernel builder & experiments",
+        dir: "core",
+        donor_subdirs: &[],
+    },
 ];
 
 fn main() {
@@ -82,7 +187,12 @@ fn main() {
         let (c, t) = dir_loc(&root.join(dir));
         println!(
             "{:16} {:30} {:>8} {:>8} {:>8} {:>8}",
-            name, desc, c, 0, t, c + t
+            name,
+            desc,
+            c,
+            0,
+            t,
+            c + t
         );
         tn += c;
         tt += t;

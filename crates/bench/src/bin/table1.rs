@@ -82,8 +82,18 @@ fn main() {
         // Ablation row, printed after (never instead of) the paper table:
         // the same glue and stack, but the driver advertises NETIF_F_SG and
         // the send path maps mbuf fragments instead of copying them.
-        let send = ttcp_run_mixed(NetConfig::oskit().sg(true), NetConfig::freebsd(), blocks, bs);
-        let recv = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::oskit().sg(true), blocks, bs);
+        let send = ttcp_run_mixed(
+            NetConfig::oskit().sg(true),
+            NetConfig::freebsd(),
+            blocks,
+            bs,
+        );
+        let recv = ttcp_run_mixed(
+            NetConfig::freebsd(),
+            NetConfig::oskit().sg(true),
+            blocks,
+            bs,
+        );
         println!("\nSG ablation (--sg, not a paper configuration):");
         println!(
             "{:18} {:>10.2} {:>10.2}",
@@ -279,10 +289,9 @@ fn main() {
             "receive path copied zero extra bytes at every boundary",
             // Only the donor stack's own sockbuf copy (mbuf→user, paid by
             // native FreeBSD too) moves bytes; every glue seam is zero.
-            recv.receiver_boundaries
-                .nonzero()
-                .all(|b| b.bytes_copied == 0 || (b.component, b.name) == ("freebsd-net", "sockbuf"))
-                && recv.receiver.bytes_copied == rows[1].2.receiver.bytes_copied,
+            recv.receiver_boundaries.nonzero().all(|b| {
+                b.bytes_copied == 0 || (b.component, b.name) == ("freebsd-net", "sockbuf")
+            }) && recv.receiver.bytes_copied == rows[1].2.receiver.bytes_copied,
         );
     }
     exit_on_failed_checks();

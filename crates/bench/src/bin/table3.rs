@@ -43,7 +43,11 @@ fn main() {
         "", "Mbit/s", "copied B", "gathered B", "hits", "misses"
     );
     let mut rows = Vec::new();
-    for mode in [ServeMode::ColdCopy, ServeMode::WarmCopy, ServeMode::Sendfile] {
+    for mode in [
+        ServeMode::ColdCopy,
+        ServeMode::WarmCopy,
+        ServeMode::Sendfile,
+    ] {
         let r = fileserve_run(mode, kib);
         println!(
             "{:14} {:>8.2} {:>12} {:>12} {:>8} {:>8}",

@@ -122,8 +122,7 @@ pub fn rs_files(dir: &Path) -> Vec<PathBuf> {
 
 /// Locates the workspace root from the bench binary's environment.
 pub fn workspace_root() -> PathBuf {
-    let manifest = std::env::var("CARGO_MANIFEST_DIR")
-        .unwrap_or_else(|_| ".".to_string());
+    let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".to_string());
     PathBuf::from(manifest)
         .parent()
         .and_then(Path::parent)

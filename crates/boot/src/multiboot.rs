@@ -63,9 +63,7 @@ impl MultibootHeader {
     /// Encodes the header, computing the checksum field so that
     /// `magic + flags + checksum == 0 (mod 2^32)`.
     pub fn encode(&self) -> [u8; Self::SIZE] {
-        let checksum = 0u32
-            .wrapping_sub(HEADER_MAGIC)
-            .wrapping_sub(self.flags);
+        let checksum = 0u32.wrapping_sub(HEADER_MAGIC).wrapping_sub(self.flags);
         let mut out = [0u8; Self::SIZE];
         let words = [
             HEADER_MAGIC,

@@ -79,8 +79,7 @@ pub trait BufIo: BlkIo {
     fn with_map(&self, offset: usize, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<()>;
 
     /// Mutable counterpart of [`BufIo::with_map`].
-    fn with_map_mut(&self, offset: usize, len: usize, f: &mut dyn FnMut(&mut [u8]))
-        -> Result<()>;
+    fn with_map_mut(&self, offset: usize, len: usize, f: &mut dyn FnMut(&mut [u8])) -> Result<()>;
 
     /// Wires the buffer for DMA, returning a simulated physical address.
     ///
@@ -193,7 +192,10 @@ impl BlkIo for VecBufIo {
     }
 
     fn set_size(&self, new_size: u64) -> Result<()> {
-        self.data.lock().expect("poisoned").resize(new_size as usize, 0);
+        self.data
+            .lock()
+            .expect("poisoned")
+            .resize(new_size as usize, 0);
         Ok(())
     }
 }
@@ -209,12 +211,7 @@ impl BufIo for VecBufIo {
         Ok(())
     }
 
-    fn with_map_mut(
-        &self,
-        offset: usize,
-        len: usize,
-        f: &mut dyn FnMut(&mut [u8]),
-    ) -> Result<()> {
+    fn with_map_mut(&self, offset: usize, len: usize, f: &mut dyn FnMut(&mut [u8])) -> Result<()> {
         let mut data = self.data.lock().expect("poisoned");
         let end = offset.checked_add(len).ok_or(Error::Inval)?;
         if end > data.len() {
@@ -238,10 +235,7 @@ crate::com_object!(VecBufIo, me, [BlkIo, BufIo, SgBufIo]);
 /// `BlkIo` at the COM level — a `BUFIO_IID` object always answers
 /// `BLKIO_IID`, and an `SgBufIo` object always answers `BUFIO_IID` —
 /// regardless of how its `com_object!` list was spelled.
-pub(crate) fn upcast_query(
-    obj: &(impl IUnknown + ?Sized),
-    iid: &Guid,
-) -> Option<crate::AnyRef> {
+pub(crate) fn upcast_query(obj: &(impl IUnknown + ?Sized), iid: &Guid) -> Option<crate::AnyRef> {
     use crate::ComInterface;
     if *iid == <dyn BlkIo as ComInterface>::IID {
         let b = bufio_leg(obj)?;
@@ -352,7 +346,8 @@ mod tests {
     fn map_is_bounds_checked() {
         let b = VecBufIo::with_len(4);
         assert_eq!(
-            b.with_map(2, 3, &mut |_| panic!("must not run")).unwrap_err(),
+            b.with_map(2, 3, &mut |_| panic!("must not run"))
+                .unwrap_err(),
             Error::Inval
         );
         assert_eq!(
@@ -526,12 +521,7 @@ mod tests {
         fn with_map(&self, _o: usize, _l: usize, _f: &mut dyn FnMut(&[u8])) -> Result<()> {
             Err(Error::NotImpl)
         }
-        fn with_map_mut(
-            &self,
-            _o: usize,
-            _l: usize,
-            _f: &mut dyn FnMut(&mut [u8]),
-        ) -> Result<()> {
+        fn with_map_mut(&self, _o: usize, _l: usize, _f: &mut dyn FnMut(&mut [u8])) -> Result<()> {
             Err(Error::NotImpl)
         }
     }
@@ -587,12 +577,7 @@ mod tests {
             f(&[7; 4]); // ...maps only 4.
             Ok(())
         }
-        fn with_map_mut(
-            &self,
-            _o: usize,
-            _l: usize,
-            _f: &mut dyn FnMut(&mut [u8]),
-        ) -> Result<()> {
+        fn with_map_mut(&self, _o: usize, _l: usize, _f: &mut dyn FnMut(&mut [u8])) -> Result<()> {
             Err(Error::NotImpl)
         }
     }
@@ -600,7 +585,12 @@ mod tests {
 
     #[test]
     fn bufio_to_vec_rejects_length_mismatch() {
-        let b = crate::new_com(Liar { me: crate::SelfRef::new() }, |o| &o.me);
+        let b = crate::new_com(
+            Liar {
+                me: crate::SelfRef::new(),
+            },
+            |o| &o.me,
+        );
         assert_eq!(bufio_to_vec(&*b).unwrap_err(), Error::Inval);
     }
 }

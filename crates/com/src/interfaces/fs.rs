@@ -131,10 +131,8 @@ pub trait File: IUnknown {
             return Ok(0);
         }
         let len = len.min(size - offset);
-        if let (Some(fb), Some(sb)) = (
-            self.query::<dyn FileBufIo>(),
-            sock.query::<dyn SendBufIo>(),
-        ) {
+        if let (Some(fb), Some(sb)) = (self.query::<dyn FileBufIo>(), sock.query::<dyn SendBufIo>())
+        {
             // Zero-copy leg: hand pinned extents to the socket, windowed
             // so only a bounded run of cache pages is pinned at once.
             const WINDOW: u64 = 256 * 1024;

@@ -11,7 +11,9 @@ pub mod socket;
 pub mod stream;
 
 pub use blkio::{bufio_to_vec, BlkIo, BufIo, IoFragment, SgBufIo, VecBufIo, BLKIO_IID};
-pub use fs::{check_component, Dir, Dirent, File, FileStat, FileSystem, FileType, FsStat, StatChange};
+pub use fs::{
+    check_component, Dir, Dirent, File, FileStat, FileSystem, FileType, FsStat, StatChange,
+};
 pub use netio::{EtherAddr, EtherDev, FnNetIo, NetIo};
 pub use socket::{Domain, Shutdown, SockAddr, SockOpt, SockType, Socket, SocketFactory};
 pub use stream::{AsyncIo, CharDev, IoReady, Stream};

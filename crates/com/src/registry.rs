@@ -132,7 +132,9 @@ mod tests {
         register(ComponentDesc {
             name: "test_comp",
             library: "liboskit_test",
-            provenance: Provenance::Encapsulated { donor: "TestOS 1.0" },
+            provenance: Provenance::Encapsulated {
+                donor: "TestOS 1.0",
+            },
             exports: vec!["oskit_blkio"],
             imports: vec!["osenv_mem"],
         });
@@ -161,7 +163,11 @@ mod tests {
         let n = components().iter().filter(|c| c.name == "dup").count();
         assert_eq!(n, 1);
         assert_eq!(
-            components().iter().find(|c| c.name == "dup").unwrap().library,
+            components()
+                .iter()
+                .find(|c| c.name == "dup")
+                .unwrap()
+                .library,
             "b"
         );
     }

@@ -259,8 +259,7 @@ fn build(sender_cfg: NetConfig, receiver_cfg: NetConfig) -> Testbed {
                         dev.set_features(oskit_linux_dev::NETIF_F_NAPI);
                     }
                     let com = LinuxEtherDev::new(env, &dev);
-                    let ether: Arc<dyn EtherDev> =
-                        com.query::<dyn EtherDev>().expect("etherdev");
+                    let ether: Arc<dyn EtherDev> = com.query::<dyn EtherDev>().expect("etherdev");
                     let ifp = open_ether_if(&net, &ether).expect("open");
                     ifconfig(&ifp, ip, MASK);
                     keep.push(Box::new((dev, com, ifp)));
@@ -700,7 +699,10 @@ mod tests {
             .get("linux-dev", "ether_tx")
             .expect("ether_tx boundary present");
         assert!(tx.copies > 0, "send-path copies must land on ether_tx");
-        assert!(tx.bytes_copied >= oskit.bytes, "every payload byte copied once");
+        assert!(
+            tx.bytes_copied >= oskit.bytes,
+            "every payload byte copied once"
+        );
         // Receive path on an OSKit receiver: zero copied bytes at every
         // glue boundary (§5: the glue "never has to copy the incoming
         // data").  The only copying boundary is the donor stack's own

@@ -123,8 +123,8 @@ impl KernelBuilder {
         // Boot loader: a minimal image whose payload is unused; what
         // matters is the MultiBoot info and module placement.
         let image = make_image(0x100000, &[0u8; 64]);
-        let loaded = load(&machine, &image, &self.cmdline, &self.modules)
-            .expect("kernel image load failed");
+        let loaded =
+            load(&machine, &image, &self.cmdline, &self.modules).expect("kernel image load failed");
         let base = BaseEnv::init(&machine, &loaded);
 
         // The osenv for encapsulated components, with the client override

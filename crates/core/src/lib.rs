@@ -27,37 +27,37 @@ pub use kernel::{Kernel, KernelBuilder};
 /// structured events, and the `oskit_trace` COM interface.
 pub use oskit_trace as trace;
 
-/// COM interfaces and machinery (paper §4.4).
-pub use oskit_com as com;
-/// The simulated PC substrate (see DESIGN.md §2).
-pub use oskit_machine as machine;
-/// The execution environment components depend on (§4.5).
-pub use oskit_osenv as osenv;
-/// Bootstrap support: MultiBoot, boot modules, bmod fs (§3.1).
-pub use oskit_boot as boot;
-/// Kernel support library: traps, page tables, console (§3.2).
-pub use oskit_kern as kern;
-/// List Memory Manager (§3.3).
-pub use oskit_lmm as lmm;
 /// Address Map Manager (§3.3).
 pub use oskit_amm as amm;
+/// Bootstrap support: MultiBoot, boot modules, bmod fs (§3.1).
+pub use oskit_boot as boot;
 /// Minimal C library analogue (§3.4).
 pub use oskit_clib as clib;
-/// Memory allocation debugging (§3.5).
-pub use oskit_memdebug as memdebug;
-/// GDB remote stub (§3.5).
-pub use oskit_gdb as gdb;
-/// Device driver framework (§3.6).
-pub use oskit_fdev as fdev;
-/// Encapsulated Linux drivers (§3.6, §4.7).
-pub use oskit_linux_dev as linux_dev;
-/// Encapsulated FreeBSD networking (§3.7, §4.7).
-pub use oskit_freebsd_net as freebsd_net;
-/// Encapsulated NetBSD file system (§3.8).
-pub use oskit_netbsd_fs as netbsd_fs;
+/// COM interfaces and machinery (paper §4.4).
+pub use oskit_com as com;
 /// Disk partition interpretation.
 pub use oskit_diskpart as diskpart;
-/// Minimal read-only fs access for boot loaders.
-pub use oskit_fsread as fsread;
 /// Program loading.
 pub use oskit_exec as exec;
+/// Device driver framework (§3.6).
+pub use oskit_fdev as fdev;
+/// Encapsulated FreeBSD networking (§3.7, §4.7).
+pub use oskit_freebsd_net as freebsd_net;
+/// Minimal read-only fs access for boot loaders.
+pub use oskit_fsread as fsread;
+/// GDB remote stub (§3.5).
+pub use oskit_gdb as gdb;
+/// Kernel support library: traps, page tables, console (§3.2).
+pub use oskit_kern as kern;
+/// Encapsulated Linux drivers (§3.6, §4.7).
+pub use oskit_linux_dev as linux_dev;
+/// List Memory Manager (§3.3).
+pub use oskit_lmm as lmm;
+/// The simulated PC substrate (see DESIGN.md §2).
+pub use oskit_machine as machine;
+/// Memory allocation debugging (§3.5).
+pub use oskit_memdebug as memdebug;
+/// Encapsulated NetBSD file system (§3.8).
+pub use oskit_netbsd_fs as netbsd_fs;
+/// The execution environment components depend on (§4.5).
+pub use oskit_osenv as osenv;

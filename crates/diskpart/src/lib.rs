@@ -370,7 +370,7 @@ mod tests {
             &dev,
             1000,
             &[
-                (7, 1000, 10_000), // a: 4.2BSD.
+                (7, 1000, 10_000),  // a: 4.2BSD.
                 (1, 11_000, 5_000), // b: swap.
             ],
         )

@@ -182,8 +182,11 @@ impl LoadSink for AmmPhysSink<'_> {
             }
             at = e.end;
         }
-        self.amm
-            .modify(u64::from(vaddr), u64::from(size), amm_flags::ALLOCATED | (flags << 8));
+        self.amm.modify(
+            u64::from(vaddr),
+            u64::from(size),
+            amm_flags::ALLOCATED | (flags << 8),
+        );
         true
     }
 

@@ -216,11 +216,7 @@ impl IpState {
     /// stripped) when a full datagram is available.
     ///
     /// `now_ns` drives fragment-queue expiry (30 s, as in BSD).
-    pub fn ip_input(
-        &self,
-        mut pkt: MbufChain,
-        now_ns: u64,
-    ) -> Option<(IpHeader, MbufChain)> {
+    pub fn ip_input(&self, mut pkt: MbufChain, now_ns: u64) -> Option<(IpHeader, MbufChain)> {
         let copied = pkt.m_pullup(IP_HDR_LEN.min(pkt.pkt_len()));
         let _ = copied;
         let hdr = pkt.with_contig(IP_HDR_LEN, IpHeader::parse)??;
@@ -425,7 +421,7 @@ mod tests {
         assert_eq!(r[0], 0); // Echo reply.
         assert_eq!(in_cksum(&r), 0); // Valid checksum.
         assert_eq!(&r[4..], &echo[4..]); // Ident/seq/payload preserved.
-        // Non-echo types are ignored.
+                                         // Non-echo types are ignored.
         assert!(icmp_reflect(&MbufChain::from_slice(&[0u8; 8])).is_none());
     }
 

@@ -311,7 +311,7 @@ mod tests {
             next: vec![0x4000_0000, 0x1000, 0x100_0000],
         }));
         let a = m.malloc(64).unwrap(); // Page at 0x100_0000.
-        // Exhaust the 64-byte chunks of that page to force a second page.
+                                       // Exhaust the 64-byte chunks of that page to force a second page.
         for _ in 0..63 {
             m.malloc(64).unwrap();
         }

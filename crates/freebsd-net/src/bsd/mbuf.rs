@@ -122,9 +122,7 @@ impl Mbuf {
     /// are only reachable through the foreign bufio's own map protocol.
     pub fn local_data(&self) -> Option<&[u8]> {
         match &self.data {
-            MbufData::Small(v) | MbufData::Cluster(v) => {
-                Some(&v[self.off..self.off + self.len])
-            }
+            MbufData::Small(v) | MbufData::Cluster(v) => Some(&v[self.off..self.off + self.len]),
             MbufData::Ext(_) => None,
         }
     }
@@ -253,7 +251,8 @@ impl MbufChain {
                 }
             }
         }
-        self.bufs.insert(0, Mbuf::small(bytes, MLEN - bytes.len().min(MLEN)));
+        self.bufs
+            .insert(0, Mbuf::small(bytes, MLEN - bytes.len().min(MLEN)));
     }
 
     /// `m_adj(+n)`: trims `n` bytes from the front of the packet.
@@ -391,7 +390,8 @@ impl MbufChain {
         f: impl FnOnce(&[&[u8]]) -> R,
     ) -> Option<R> {
         assert!(
-            off.checked_add(len).is_some_and(|end| end <= self.pkt_len()),
+            off.checked_add(len)
+                .is_some_and(|end| end <= self.pkt_len()),
             "with_fragments beyond packet"
         );
         let mut out = None;
@@ -524,7 +524,11 @@ mod tests {
         let other = VecBufIo::from_vec(vec![9; 100]);
         // Contiguous ranges of the same foreign buffer merge...
         let mut chain = MbufChain::from_mbuf(Mbuf::ext(Arc::clone(&page) as _, 10, 20));
-        chain.m_cat(MbufChain::from_mbuf(Mbuf::ext(Arc::clone(&page) as _, 30, 40)));
+        chain.m_cat(MbufChain::from_mbuf(Mbuf::ext(
+            Arc::clone(&page) as _,
+            30,
+            40,
+        )));
         assert_eq!(chain.num_bufs(), 1);
         assert_eq!(chain.pkt_len(), 60);
         assert_eq!(chain.to_vec(), (10..70).collect::<Vec<u8>>());
@@ -532,10 +536,16 @@ mod tests {
         // nested same-page map a segment straddling two appends would
         // otherwise attempt (and deadlock on) cannot arise.
         let mut frags = 0;
-        assert!(chain.with_fragments(0, 60, |parts| frags = parts.len()).is_some());
+        assert!(chain
+            .with_fragments(0, 60, |parts| frags = parts.len())
+            .is_some());
         assert_eq!(frags, 1);
         // Discontiguous ranges and different buffers stay separate.
-        chain.m_cat(MbufChain::from_mbuf(Mbuf::ext(Arc::clone(&page) as _, 80, 10)));
+        chain.m_cat(MbufChain::from_mbuf(Mbuf::ext(
+            Arc::clone(&page) as _,
+            80,
+            10,
+        )));
         assert_eq!(chain.num_bufs(), 2);
         chain.m_cat(MbufChain::from_mbuf(Mbuf::ext(other, 90, 10)));
         assert_eq!(chain.num_bufs(), 3);
@@ -562,7 +572,11 @@ mod tests {
         assert_eq!(chain.num_bufs(), 3);
         let (n, total, first) = chain
             .with_fragments(0, chain.pkt_len(), |fs| {
-                (fs.len(), fs.iter().map(|f| f.len()).sum::<usize>(), fs[0].to_vec())
+                (
+                    fs.len(),
+                    fs.iter().map(|f| f.len()).sum::<usize>(),
+                    fs[0].to_vec(),
+                )
             })
             .unwrap();
         assert_eq!(n, 3);
@@ -570,7 +584,9 @@ mod tests {
         assert_eq!(first, vec![0xBB; 54]);
         // Windowing: a sub-range skips and trims mbufs.
         let lens = chain
-            .with_fragments(50, 2100, |fs| fs.iter().map(|f| f.len()).collect::<Vec<_>>())
+            .with_fragments(50, 2100, |fs| {
+                fs.iter().map(|f| f.len()).collect::<Vec<_>>()
+            })
             .unwrap();
         assert_eq!(lens, vec![4, 2048, 48]);
     }
@@ -584,7 +600,9 @@ mod tests {
         let mut chain = MbufChain::from_mbuf(Mbuf::ext(b, 20, 60));
         chain.m_prepend(&[2; 14]);
         let frags = chain
-            .with_fragments(0, 74, |fs| fs.iter().map(|f| f.to_vec()).collect::<Vec<_>>())
+            .with_fragments(0, 74, |fs| {
+                fs.iter().map(|f| f.to_vec()).collect::<Vec<_>>()
+            })
             .unwrap();
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0], vec![2; 14]);
@@ -652,7 +670,9 @@ mod tests {
         // caller must fall back to a copy.
         assert!(chain.with_fragments(0, 114, |_| ()).is_none());
         // A window that avoids the ext mbuf still works.
-        assert!(chain.with_fragments(0, 14, |fs| assert_eq!(fs.len(), 1)).is_some());
+        assert!(chain
+            .with_fragments(0, 14, |fs| assert_eq!(fs.len(), 1))
+            .is_some());
     }
 
     #[test]

@@ -142,7 +142,11 @@ impl Ifnet {
             reply[18..24].copy_from_slice(&sha);
             reply[24..28].copy_from_slice(&spa.octets());
             // MH_ALIGN, as in arp_request: keep the reply one mbuf.
-            self.ether_output(sha, ethertype::ARP, MbufChain::from_mbuf(Mbuf::small(&reply, 14)));
+            self.ether_output(
+                sha,
+                ethertype::ARP,
+                MbufChain::from_mbuf(Mbuf::small(&reply, 14)),
+            );
         }
         for queued in self.arp.drain(spa) {
             self.ether_output(sha, ethertype::IP, queued);
@@ -257,7 +261,7 @@ mod tests {
         let f = &frames[0];
         assert_eq!(&f[0..6], &[0xCC; 6]);
         assert_eq!(u16::from_be_bytes([f[20], f[21]]), 2); // Reply.
-        // Sender was learned.
+                                                           // Sender was learned.
         assert_eq!(ifp.arp_cache_len(), 1);
     }
 

@@ -166,7 +166,8 @@ impl BsdNet {
                         .machine
                         .charge_layer_at(oskit_machine::boundary!("freebsd-net", "icmp"));
                     let ifp = self.ifnet();
-                    self.ip.ip_output(&ifp, ipproto::ICMP, hdr.dst, hdr.src, reply);
+                    self.ip
+                        .ip_output(&ifp, ipproto::ICMP, hdr.dst, hdr.src, reply);
                 } else {
                     // An echo *reply*: wake any matching ping waiter.
                     let data = payload.to_vec();

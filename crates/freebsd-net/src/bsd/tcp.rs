@@ -410,8 +410,7 @@ impl TcpSock {
                         n,
                         1,
                     );
-                    let chain =
-                        MbufChain::from_mbuf(Mbuf::ext(Arc::clone(buf), off + written, n));
+                    let chain = MbufChain::from_mbuf(Mbuf::ext(Arc::clone(buf), off + written, n));
                     tcb.snd_buf.append(chain);
                     written += n;
                     self.tcp_output(&net, &mut tcb);
@@ -513,10 +512,8 @@ impl TcpSock {
             || tcb.peer_closed
             || !tcb.accept_queue.is_empty()
             || tcb.t_state == TcpState::Closed;
-        let writable = matches!(
-            tcb.t_state,
-            TcpState::Established | TcpState::CloseWait
-        ) && tcb.snd_buf.space() > 0;
+        let writable = matches!(tcb.t_state, TcpState::Established | TcpState::CloseWait)
+            && tcb.snd_buf.space() > 0;
         (readable, writable)
     }
 
@@ -704,9 +701,10 @@ impl TcpSock {
             let mut flat = vec![0u8; hdr_len + paylen];
             flat[..hdr_len].copy_from_slice(&hdr);
             payload.m_copydata(0, &mut flat[hdr_len..]);
-            net.env
-                .machine
-                .charge_copy_at(oskit_machine::boundary!("freebsd-net", "tcp_output"), paylen);
+            net.env.machine.charge_copy_at(
+                oskit_machine::boundary!("freebsd-net", "tcp_output"),
+                paylen,
+            );
             MbufChain::from_mbuf(Mbuf::small(&flat, MLEN - flat.len()))
         } else {
             // Header-first chain: a small mbuf (with leading space for the
@@ -781,7 +779,14 @@ impl TcpSock {
             }
             TcpState::SynReceived => {
                 let seq = tcb.snd_una;
-                self.emit_segment(net, &mut tcb, seq, th::SYN | th::ACK, MbufChain::new(), true);
+                self.emit_segment(
+                    net,
+                    &mut tcb,
+                    seq,
+                    th::SYN | th::ACK,
+                    MbufChain::new(),
+                    true,
+                );
             }
             _ => {
                 // Go back to snd_una and let tcp_output resend.
@@ -893,9 +898,9 @@ impl Tcb {
                 } else {
                     let delta = rtt as i64 - self.t_srtt as i64;
                     self.t_srtt = (self.t_srtt as i64 + delta / 8).max(1) as u64;
-                    self.t_rttvar =
-                        (self.t_rttvar as i64 + (delta.abs() - self.t_rttvar as i64) / 4).max(1)
-                            as u64;
+                    self.t_rttvar = (self.t_rttvar as i64
+                        + (delta.abs() - self.t_rttvar as i64) / 4)
+                        .max(1) as u64;
                 }
                 self.t_rxtcur =
                     (self.t_srtt + 4 * self.t_rttvar).clamp(TCPTV_MIN_NS, TCPTV_REXMTMAX_NS);

@@ -4,7 +4,7 @@ use super::ip::{in_cksum_chain, ipproto};
 use super::mbuf::MbufChain;
 use super::socket::seq;
 use super::stack::BsdNet;
-use super::tcp::{th, Tcb, TcpSock, TcpState, TFlags, TCP_HDR_LEN, TCP_MSS};
+use super::tcp::{th, TFlags, Tcb, TcpSock, TcpState, TCP_HDR_LEN, TCP_MSS};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -43,8 +43,8 @@ impl TcpHeader {
         let mut o = TCP_HDR_LEN;
         while o < doff {
             match p[o] {
-                0 => break,        // End of options.
-                1 => o += 1,       // NOP.
+                0 => break,  // End of options.
+                1 => o += 1, // NOP.
                 2 if o + 4 <= doff => {
                     mss_opt = Some(u16::from_be_bytes([p[o + 2], p[o + 3]]));
                     o += 4;

@@ -153,10 +153,7 @@ impl UdpSock {
     }
 
     /// `recvfrom`: blocks for one datagram.
-    pub fn recvfrom(
-        &self,
-        buf: &mut [u8],
-    ) -> Result<(usize, (Ipv4Addr, u16)), oskit_com::Error> {
+    pub fn recvfrom(&self, buf: &mut [u8]) -> Result<(usize, (Ipv4Addr, u16)), oskit_com::Error> {
         let net = self.net();
         loop {
             {

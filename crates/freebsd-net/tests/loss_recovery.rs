@@ -111,7 +111,12 @@ fn lossy_transfer_cfg(
     });
     sim.run();
     let (tx, _) = *sent_stats.lock().unwrap();
-    (tx, na.wire_dropped(), nb.wire_dropped(), ma.faults().stats())
+    (
+        tx,
+        na.wire_dropped(),
+        nb.wire_dropped(),
+        ma.faults().stats(),
+    )
 }
 
 /// The original shape: periodic loss on the data direction.

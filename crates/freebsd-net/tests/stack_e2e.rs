@@ -68,10 +68,7 @@ fn oskit_pair_with(sim: &Arc<Sim>, features: u32) -> (Node, Node) {
     let eb = OsEnv::new(&mb);
     let (net_a, _) = oskit_freebsd_net_init(&ea);
     let (net_b, _) = oskit_freebsd_net_init(&eb);
-    for (env, nic, net, ip) in [
-        (&ea, &na, &net_a, IP_A),
-        (&eb, &nb, &net_b, IP_B),
-    ] {
+    for (env, nic, net, ip) in [(&ea, &na, &net_a, IP_A), (&eb, &nb, &net_b, IP_B)] {
         let dev = NetDevice::new("eth0", env, Arc::clone(nic));
         dev.set_features(features);
         let com = LinuxEtherDev::new(env, &dev);
@@ -130,9 +127,7 @@ fn bulk_transfer(sim: &Arc<Sim>, a: &Node, b: &Node, total: usize) {
         while sent < total2 {
             let n = (total2 - sent).min(chunk.len());
             // Keep the rolling byte pattern aligned.
-            let data: Vec<u8> = (0..n)
-                .map(|i| next.wrapping_add(i as u8))
-                .collect();
+            let data: Vec<u8> = (0..n).map(|i| next.wrapping_add(i as u8)).collect();
             let w = sock.send(&data).unwrap();
             assert_eq!(w, n);
             next = next.wrapping_add(n as u8);

@@ -10,8 +10,8 @@
 use oskit_com::interfaces::blkio::{BlkIo, BufIo};
 use oskit_com::{Error, Query, Result};
 use oskit_netbsd_fs::ffs::ondisk::{
-    Dinode, DiskDirent, Superblock, BLOCK_SIZE, DIRENT_SIZE, INODES_PER_BLOCK, INODE_SIZE,
-    NDADDR, NINDIR, ROOT_INO,
+    Dinode, DiskDirent, Superblock, BLOCK_SIZE, DIRENT_SIZE, INODES_PER_BLOCK, INODE_SIZE, NDADDR,
+    NINDIR, ROOT_INO,
 };
 use std::sync::Arc;
 
@@ -215,10 +215,7 @@ mod tests {
         assert_eq!(fsr.file_size("/boot/kernel").unwrap(), 200_000);
         let image = fsr.read_whole("/boot/kernel").unwrap();
         assert_eq!(image.len(), 200_000);
-        assert!(image
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == (i % 249) as u8));
+        assert!(image.iter().enumerate().all(|(i, &b)| b == (i % 249) as u8));
         assert_eq!(fsr.read_whole("boot.cfg").unwrap(), b"default=kernel\n");
     }
 

@@ -161,8 +161,7 @@ impl<'a> GdbStub<'a> {
                 let Some((range, hex)) = rest.split_once(':') else {
                     return Reply::Text("E01".into());
                 };
-                let (Some((addr, len)), Some(data)) = (parse_addr_len(range), from_hex(hex))
-                else {
+                let (Some((addr, len)), Some(data)) = (parse_addr_len(range), from_hex(hex)) else {
                     return Reply::Text("E01".into());
                 };
                 if data.len() != len {

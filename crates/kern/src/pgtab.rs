@@ -274,14 +274,23 @@ mod tests {
     use super::*;
 
     fn setup() -> (PhysMem, BumpFrames) {
-        (PhysMem::new(8 * 1024 * 1024), BumpFrames::new(0x100000, 0x200000))
+        (
+            PhysMem::new(8 * 1024 * 1024),
+            BumpFrames::new(0x100000, 0x200000),
+        )
     }
 
     #[test]
     fn map_then_translate() {
         let (phys, mut fr) = setup();
         let pd = PageDir::new(&phys, &mut fr).unwrap();
-        assert!(pd.map(&phys, &mut fr, 0xC000_0000_u32 & 0xFFFFF000, 0x0030_0000, MapFlags::KERNEL_RW));
+        assert!(pd.map(
+            &phys,
+            &mut fr,
+            0xC000_0000_u32 & 0xFFFFF000,
+            0x0030_0000,
+            MapFlags::KERNEL_RW
+        ));
         assert_eq!(
             pd.translate(&phys, 0xC000_0ABC).unwrap() & !0xFFF,
             0x0030_0000
@@ -298,7 +307,13 @@ mod tests {
             pd.translate(&phys, 0x1234_5678),
             Err(XlateError::PdeNotPresent)
         );
-        pd.map(&phys, &mut fr, 0x1234_4000, 0x0040_0000, MapFlags::KERNEL_RO);
+        pd.map(
+            &phys,
+            &mut fr,
+            0x1234_4000,
+            0x0040_0000,
+            MapFlags::KERNEL_RO,
+        );
         // Same page table, different page: PTE not present.
         assert_eq!(
             pd.translate(&phys, 0x1234_9000),
@@ -315,7 +330,13 @@ mod tests {
         assert_ne!(pte & bits::P, 0);
         assert_ne!(pte & bits::RW, 0);
         assert_ne!(pte & bits::US, 0);
-        pd.map(&phys, &mut fr, 0x4000_1000, 0x0050_1000, MapFlags::KERNEL_RO);
+        pd.map(
+            &phys,
+            &mut fr,
+            0x4000_1000,
+            0x0050_1000,
+            MapFlags::KERNEL_RO,
+        );
         let pte = pd.pte(&phys, 0x4000_1000).unwrap();
         assert_eq!(pte & bits::RW, 0);
         assert_eq!(pte & bits::US, 0);
@@ -325,7 +346,13 @@ mod tests {
     fn unmap_removes_mapping() {
         let (phys, mut fr) = setup();
         let pd = PageDir::new(&phys, &mut fr).unwrap();
-        pd.map(&phys, &mut fr, 0x7000_0000, 0x0060_0000, MapFlags::KERNEL_RW);
+        pd.map(
+            &phys,
+            &mut fr,
+            0x7000_0000,
+            0x0060_0000,
+            MapFlags::KERNEL_RW,
+        );
         assert!(pd.unmap(&phys, 0x7000_0000));
         assert_eq!(
             pd.translate(&phys, 0x7000_0000),
@@ -385,7 +412,13 @@ mod tests {
         // contains the mapping — i.e. the layout is genuinely two-level.
         let (phys, mut fr) = setup();
         let pd = PageDir::new(&phys, &mut fr).unwrap();
-        pd.map(&phys, &mut fr, 0x0000_3000, 0x0070_0000, MapFlags::KERNEL_RW);
+        pd.map(
+            &phys,
+            &mut fr,
+            0x0000_3000,
+            0x0070_0000,
+            MapFlags::KERNEL_RW,
+        );
         let pde = pd.pde(&phys, 0x0000_3000);
         let pt = pde & bits::ADDR_MASK;
         let raw_pte = phys.read_u32(pt + 3 * 4);

@@ -75,7 +75,7 @@ impl SegDesc {
         let mut d: u64 = 0;
         d |= limit & 0xFFFF; // Limit 15..0.
         d |= (base & 0xFFFFFF) << 16; // Base 23..0.
-        // Access byte (bits 40..47).
+                                      // Access byte (bits 40..47).
         let mut access: u64 = 1 << 4; // S=1: code/data descriptor.
         if self.present {
             access |= 1 << 7;
@@ -108,8 +108,7 @@ impl SegDesc {
         if access & (1 << 4) == 0 {
             return None; // System descriptor (TSS, gate, ...).
         }
-        let base =
-            ((d >> 16) & 0xFFFFFF) as u32 | ((((d >> 56) & 0xFF) as u32) << 24);
+        let base = ((d >> 16) & 0xFFFFFF) as u32 | ((((d >> 56) & 0xFF) as u32) << 24);
         let limit = (d & 0xFFFF) as u32 | ((((d >> 48) & 0xF) as u32) << 16);
         let gran = (d >> 52) & 0xF;
         Some(SegDesc {

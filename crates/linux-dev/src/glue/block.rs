@@ -160,8 +160,7 @@ mod tests {
             let mut back = vec![0u8; SECTOR_SIZE * 2];
             b2.read(&mut back, 0).unwrap();
             for (i, &b) in back.iter().enumerate() {
-                let in_patch =
-                    (SECTOR_SIZE - 5..SECTOR_SIZE + 5).contains(&i);
+                let in_patch = (SECTOR_SIZE - 5..SECTOR_SIZE + 5).contains(&i);
                 if in_patch {
                     assert_eq!(b, 0xFF, "patch byte {i}");
                 } else {

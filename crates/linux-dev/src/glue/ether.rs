@@ -16,7 +16,9 @@ use crate::linux::sched::CurrentPtr;
 use crate::linux::skbuff::SkBuff;
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
 use oskit_com::interfaces::netio::{EtherAddr, EtherDev, NetIo};
-use oskit_com::{com_interface_decl, com_object, new_com, oskit_iid, Error, IUnknown, Query, Result, SelfRef};
+use oskit_com::{
+    com_interface_decl, com_object, new_com, oskit_iid, Error, IUnknown, Query, Result, SelfRef,
+};
 use oskit_osenv::OsEnv;
 use std::sync::Arc;
 
@@ -373,13 +375,12 @@ mod tests {
         let g2 = Arc::clone(&got);
         let _tx_b = cb
             .open(FnNetIo::new(move |pkt| {
-                g2.lock().push(oskit_com::interfaces::blkio::bufio_to_vec(&*pkt)?);
+                g2.lock()
+                    .push(oskit_com::interfaces::blkio::bufio_to_vec(&*pkt)?);
                 Ok(())
             }) as Arc<dyn NetIo>)
             .unwrap();
-        let tx_a = ca
-            .open(FnNetIo::new(|_| Ok(())) as Arc<dyn NetIo>)
-            .unwrap();
+        let tx_a = ca.open(FnNetIo::new(|_| Ok(())) as Arc<dyn NetIo>).unwrap();
         ma.irq.enable();
         mb.irq.enable();
         let keep = (ca, cb, Arc::clone(&_tx_b));

@@ -288,10 +288,7 @@ mod tests {
                 let data = vec![i as u8; SECTOR_SIZE];
                 d2.rw_blocking(Cmd::Write, sector, 1, Some(data.clone()))
                     .unwrap();
-                let got = d2
-                    .rw_blocking(Cmd::Read, sector, 1, None)
-                    .unwrap()
-                    .unwrap();
+                let got = d2.rw_blocking(Cmd::Read, sector, 1, None).unwrap().unwrap();
                 assert_eq!(got, data);
             });
         }

@@ -192,10 +192,7 @@ impl LinuxSock {
         }
         pcb.state = TcpState::Listen;
         pcb.backlog = backlog.max(1);
-        inet
-            .listeners
-            .lock()
-            .insert(pcb.local.1, Arc::clone(self));
+        inet.listeners.lock().insert(pcb.local.1, Arc::clone(self));
         Ok(())
     }
 
@@ -211,10 +208,9 @@ impl LinuxSock {
             pcb.state = TcpState::SynSent;
             pcb.snd_una = 1000; // Fixed ISS: deterministic simulation.
             pcb.snd_nxt = 1000;
-            inet.conns.lock().insert(
-                (pcb.local.1, dst, port),
-                Arc::clone(self),
-            );
+            inet.conns
+                .lock()
+                .insert((pcb.local.1, dst, port), Arc::clone(self));
         }
         self.send_segment(tf::SYN, &[], true);
         loop {
@@ -313,10 +309,7 @@ impl LinuxSock {
         loop {
             {
                 let pcb = self.pcb.lock();
-                let draining = matches!(
-                    pcb.state,
-                    TcpState::Established | TcpState::CloseWait
-                );
+                let draining = matches!(pcb.state, TcpState::Established | TcpState::CloseWait);
                 if !draining || pcb.pending.is_empty() {
                     break;
                 }
@@ -462,7 +455,9 @@ impl LinuxSock {
                 return;
             }
             match pcb.state {
-                TcpState::Listen if flags & tf::SYN != 0 && pcb.accept_queue.len() < pcb.backlog => {
+                TcpState::Listen
+                    if flags & tf::SYN != 0 && pcb.accept_queue.len() < pcb.backlog =>
+                {
                     // Spawn a child in SYN_RECV.
                     let inet = self.inet();
                     let child = LinuxSock::new(&inet);
@@ -476,10 +471,9 @@ impl LinuxSock {
                         cp.snd_nxt = 2000;
                         cp.snd_wnd = u32::from(wnd);
                     }
-                    inet.conns.lock().insert(
-                        (pcb.local.1, src.0, src.1),
-                        Arc::clone(&child),
-                    );
+                    inet.conns
+                        .lock()
+                        .insert((pcb.local.1, src.0, src.1), Arc::clone(&child));
                     child_to_announce = Some(child);
                 }
                 TcpState::SynSent if flags & tf::SYN != 0 && flags & tf::ACK != 0 => {
@@ -824,7 +818,10 @@ impl LinuxInet {
         self.env
             .machine
             .charge_layer_at(oskit_machine::boundary!("linux-dev", "ip_out"));
-        assert!(payload.len() + 20 <= self.dev.mtu, "no fragmentation support");
+        assert!(
+            payload.len() + 20 <= self.dev.mtu,
+            "no fragmentation support"
+        );
         let mut p = vec![0u8; 20 + payload.len()];
         p[0] = 0x45;
         let total = (20 + payload.len()) as u16;
@@ -849,8 +846,8 @@ impl LinuxInet {
     }
 
     fn route_output(self: &Arc<Self>, dst: Ipv4Addr, ip_packet: Vec<u8>) {
-        let on_link = (u32::from(dst) & u32::from(self.mask))
-            == (u32::from(self.ip) & u32::from(self.mask));
+        let on_link =
+            (u32::from(dst) & u32::from(self.mask)) == (u32::from(self.ip) & u32::from(self.mask));
         if !on_link {
             return; // No router in the testbed; drop, as the sender would notice.
         }
@@ -858,7 +855,11 @@ impl LinuxInet {
         match mac {
             Some(mac) => self.dev.xmit_ether(mac, eth_p::IP, &ip_packet),
             None => {
-                self.arp_pending.lock().entry(dst).or_default().push(ip_packet);
+                self.arp_pending
+                    .lock()
+                    .entry(dst)
+                    .or_default()
+                    .push(ip_packet);
                 self.arp_request(dst);
             }
         }
@@ -894,8 +895,18 @@ mod tests {
         let eb = OsEnv::new(&mb);
         let da = NetDevice::new("eth0", &ea, na);
         let db = NetDevice::new("eth0", &eb, nb);
-        let ia = LinuxInet::attach(&ea, &da, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
-        let ib = LinuxInet::attach(&eb, &db, Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(255, 255, 255, 0));
+        let ia = LinuxInet::attach(
+            &ea,
+            &da,
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(255, 255, 255, 0),
+        );
+        let ib = LinuxInet::attach(
+            &eb,
+            &db,
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(255, 255, 255, 0),
+        );
         ma.irq.enable();
         mb.irq.enable();
         (sim, ia, ib)
@@ -904,8 +915,10 @@ mod tests {
     #[test]
     fn checksum_rfc1071_example() {
         // Verifying against a hand-computed value.
-        let data = [0x45u8, 0x00, 0x00, 0x73, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11,
-                    0x00, 0x00, 0xc0, 0xa8, 0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7];
+        let data = [
+            0x45u8, 0x00, 0x00, 0x73, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, 0x00, 0x00, 0xc0, 0xa8,
+            0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7,
+        ];
         assert_eq!(checksum(&data), 0xB861);
         // A packet with its checksum in place sums to zero.
         let mut with = data;

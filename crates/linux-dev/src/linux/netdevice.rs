@@ -156,7 +156,8 @@ impl NetDevice {
             }
         });
         if napi {
-            self.hw.set_rx_coalesce(Some(oskit_machine::RxCoalesce::default()));
+            self.hw
+                .set_rx_coalesce(Some(oskit_machine::RxCoalesce::default()));
             self.start_rx_watchdog();
         }
     }

@@ -404,7 +404,7 @@ mod tests {
         lmm.free(a, 4096);
         lmm.free(c, 4096);
         lmm.free(b, 4096); // Middle free must merge all three.
-        // The whole span is allocatable again as one block.
+                           // The whole span is allocatable again as one block.
         let big = lmm.alloc_gen(3 * 4096, 0, 0, 0, a, a + 3 * 4096).unwrap();
         assert_eq!(big, a);
     }

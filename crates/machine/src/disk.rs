@@ -29,8 +29,8 @@ pub struct DiskConfig {
 impl Default for DiskConfig {
     fn default() -> Self {
         DiskConfig {
-            overhead_ns: 9_000_000,        // ~9 ms average positioning.
-            bytes_per_sec: 5_000_000,      // ~5 MB/s media rate.
+            overhead_ns: 9_000_000,   // ~9 ms average positioning.
+            bytes_per_sec: 5_000_000, // ~5 MB/s media rate.
         }
     }
 }
@@ -138,11 +138,7 @@ impl Disk {
                 let off = sector as usize * SECTOR_SIZE;
                 media[off..off + data.len()].copy_from_slice(&data);
             }
-            disk.complete(Completion {
-                id,
-                ok,
-                data: None,
-            });
+            disk.complete(Completion { id, ok, data: None });
         });
         id
     }
@@ -201,7 +197,7 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{SleepRecord, Sim};
+    use crate::sched::{Sim, SleepRecord};
 
     fn setup() -> (Arc<Sim>, Arc<Machine>, Arc<Disk>) {
         let sim = Sim::new();

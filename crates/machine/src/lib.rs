@@ -24,12 +24,12 @@ pub use costs::{CostModel, WorkSnapshot};
 pub use disk::{Completion, Disk, DiskConfig, SECTOR_SIZE};
 pub use irq::{IrqController, IrqGuard, NUM_IRQS};
 pub use machine::{BoundarySpan, Machine};
+pub use nic::{Nic, RxCoalesce, WireConfig, MAX_FRAME, MIN_FRAME};
 pub use oskit_fault::{
     AllocFaults, DiskFault, DiskFaults, FaultInjector, FaultPlan, FaultSnapshot, IrqFaults,
     NicFaults, NicTxFault,
 };
 pub use oskit_trace::{boundary, BoundaryId, BoundaryMetrics, EventKind, TraceReport, Tracer};
-pub use nic::{Nic, RxCoalesce, WireConfig, MAX_FRAME, MIN_FRAME};
 pub use phys::{PhysAddr, PhysMem, DMA_LIMIT, LOWER_MEM_END, UPPER_MEM_START};
 pub use sched::{EventId, Ns, Sim, SleepRecord, Tid, WakeReason};
 pub use timer::Timer;

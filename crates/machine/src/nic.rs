@@ -245,7 +245,11 @@ impl Nic {
     /// The common tail of both transmit flavors: wire occupancy,
     /// fault injection, and delivery scheduling.
     fn transmit_assembled(&self, frame: Vec<u8>) {
-        assert!(frame.len() <= MAX_FRAME, "frame exceeds MTU: {}", frame.len());
+        assert!(
+            frame.len() <= MAX_FRAME,
+            "frame exceeds MTU: {}",
+            frame.len()
+        );
         let Some(machine) = self.machine.upgrade() else {
             return;
         };
@@ -465,7 +469,7 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{SleepRecord, Sim};
+    use crate::sched::{Sim, SleepRecord};
 
     fn pair(sim: &Arc<Sim>) -> (Arc<Machine>, Arc<Nic>, Arc<Machine>, Arc<Nic>) {
         let ma = Machine::new(sim, "a", 4096);
@@ -537,7 +541,10 @@ mod tests {
         let times = times.lock();
         assert_eq!(times.len(), 2);
         // Second frame arrives one serialization time after the first.
-        assert_eq!(times[1] - times[0], WireConfig::default().serialize_ns(1514));
+        assert_eq!(
+            times[1] - times[0],
+            WireConfig::default().serialize_ns(1514)
+        );
     }
 
     #[test]

@@ -48,7 +48,11 @@ impl PhysMem {
         let mem = self.bytes.lock();
         let a = addr as usize;
         let end = a.checked_add(buf.len()).expect("phys read overflow");
-        assert!(end <= mem.len(), "phys read beyond RAM: {addr:#x}+{}", buf.len());
+        assert!(
+            end <= mem.len(),
+            "phys read beyond RAM: {addr:#x}+{}",
+            buf.len()
+        );
         buf.copy_from_slice(&mem[a..end]);
     }
 
@@ -61,7 +65,11 @@ impl PhysMem {
         let mut mem = self.bytes.lock();
         let a = addr as usize;
         let end = a.checked_add(buf.len()).expect("phys write overflow");
-        assert!(end <= mem.len(), "phys write beyond RAM: {addr:#x}+{}", buf.len());
+        assert!(
+            end <= mem.len(),
+            "phys write beyond RAM: {addr:#x}+{}",
+            buf.len()
+        );
         mem[a..end].copy_from_slice(buf);
     }
 

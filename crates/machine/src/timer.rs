@@ -80,7 +80,7 @@ impl Timer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{SleepRecord, Sim};
+    use crate::sched::{Sim, SleepRecord};
     use std::sync::atomic::AtomicUsize;
 
     #[test]

@@ -85,7 +85,7 @@ impl TrapFrame {
             7 => self.edi,
             8 => self.eip,
             9 => self.eflags,
-            10 => 0x08, // cs: the kit's flat kernel code segment.
+            10 => 0x08,      // cs: the kit's flat kernel code segment.
             11..=15 => 0x10, // ss/ds/es/fs/gs: flat kernel data segment.
             _ => 0,
         }

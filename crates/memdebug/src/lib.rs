@@ -125,8 +125,7 @@ impl<M: Malloc, S: MemStore> MemDebug<M, S> {
     pub fn malloc(&self, size: u64, tag: &'static str) -> Option<u64> {
         let raw = self.inner.malloc(size + 2 * FENCE)?;
         let user = raw + FENCE;
-        self.store
-            .write(raw, &[FENCE_BYTE_HEAD; FENCE as usize]);
+        self.store.write(raw, &[FENCE_BYTE_HEAD; FENCE as usize]);
         self.store
             .write(user + size, &[FENCE_BYTE_TAIL; FENCE as usize]);
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);

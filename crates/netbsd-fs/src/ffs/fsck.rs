@@ -107,9 +107,9 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
         let blk = sb.data_start + rel;
         let bit_blk = sb.bbmap_start + rel / (BLOCK_SIZE * 8) as u32;
         let within = rel % (BLOCK_SIZE * 8) as u32;
-        let marked = fs
-            .cache()
-            .bread(bit_blk, |b| b[(within / 8) as usize] & (1 << (within % 8)) != 0)?;
+        let marked = fs.cache().bread(bit_blk, |b| {
+            b[(within / 8) as usize] & (1 << (within % 8)) != 0
+        })?;
         let referenced = owner.contains_key(&blk);
         match (marked, referenced) {
             (false, true) => findings.push(Finding::UsedButFree { blk }),
@@ -138,12 +138,10 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
         }
         reached.push(dino);
         for e in fs.dir_list(dino)? {
-            let valid = e.ino != 0
-                && e.ino < sb.ninodes
-                && {
-                    let t = fs.read_inode(e.ino)?;
-                    t.nlink > 0 || t.mode != 0
-                };
+            let valid = e.ino != 0 && e.ino < sb.ninodes && {
+                let t = fs.read_inode(e.ino)?;
+                t.nlink > 0 || t.mode != 0
+            };
             if !valid {
                 findings.push(Finding::BadDirent {
                     dir: dino,

@@ -194,12 +194,7 @@ impl Dinode {
     pub fn decode(b: &[u8]) -> Dinode {
         let mut direct = [0u32; NDADDR];
         for (i, d) in direct.iter_mut().enumerate() {
-            *d = u32::from_le_bytes([
-                b[28 + i * 4],
-                b[29 + i * 4],
-                b[30 + i * 4],
-                b[31 + i * 4],
-            ]);
+            *d = u32::from_le_bytes([b[28 + i * 4], b[29 + i * 4], b[30 + i * 4], b[31 + i * 4]]);
         }
         Dinode {
             mode: u16::from_le_bytes([b[0], b[1]]),

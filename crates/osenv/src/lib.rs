@@ -132,7 +132,10 @@ impl OsenvMem for FirstFit {
         while i + 1 < self.free.len() {
             let (s0, l0) = self.free[i];
             let (s1, l1) = self.free[i + 1];
-            assert!(s0 + l0 <= s1, "double free or overlapping free at {addr:#x}");
+            assert!(
+                s0 + l0 <= s1,
+                "double free or overlapping free at {addr:#x}"
+            );
             if s0 + l0 == s1 {
                 self.free[i] = (s0, l0 + l1);
                 self.free.remove(i + 1);
@@ -235,9 +238,7 @@ impl OsEnv {
         match got {
             Some(_) => self.machine.trace_note(
                 boundary!("osenv", "mem"),
-                EventKind::Alloc {
-                    bytes: size as u64,
-                },
+                EventKind::Alloc { bytes: size as u64 },
             ),
             None => self.note_alloc_failure(size, flags),
         }
@@ -249,9 +250,7 @@ impl OsEnv {
     fn note_alloc_failure(&self, size: usize, flags: MemFlags) {
         self.machine.trace_note(
             boundary!("osenv", "mem"),
-            EventKind::AllocFailed {
-                bytes: size as u64,
-            },
+            EventKind::AllocFailed { bytes: size as u64 },
         );
         let ctx = if flags.atomic { " (GFP_ATOMIC)" } else { "" };
         self.log(

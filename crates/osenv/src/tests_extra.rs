@@ -87,10 +87,7 @@ fn nested_timing_machinery() {
         drop(handle);
         // Now a plain timeout still works after the periodic timer died.
         let sl = e2.sleep_create();
-        assert_eq!(
-            sl.sleep_timeout(5_000),
-            oskit_machine::WakeReason::TimedOut
-        );
+        assert_eq!(sl.sleep_timeout(5_000), oskit_machine::WakeReason::TimedOut);
         st2.fetch_add(100, Ordering::SeqCst);
     });
     sim.run();

@@ -20,7 +20,9 @@
 
 use crate::event::TraceEvent;
 use crate::tracer::{TraceReport, Tracer};
-use oskit_com::{com_interface_decl, com_object, new_com, oskit_iid, registry, Guid, IUnknown, SelfRef};
+use oskit_com::{
+    com_interface_decl, com_object, new_com, oskit_iid, registry, Guid, IUnknown, SelfRef,
+};
 use std::sync::{Arc, OnceLock};
 
 /// IID of the [`Trace`] interface: `oskit_iid(0xC0)`.

@@ -83,10 +83,16 @@ fn server_main(k: &Kernel) {
     let lfd = p.socket(Domain::Inet, SockType::Stream).expect("socket");
     p.bind(lfd, SockAddr::any(7070)).expect("bind");
     p.listen(lfd, 4).expect("listen");
-    k.printf("[server] listening on %s:7070\n", fargs![SERVER_IP.to_string()]);
+    k.printf(
+        "[server] listening on %s:7070\n",
+        fargs![SERVER_IP.to_string()],
+    );
 
     let (conn, peer) = p.accept(lfd).expect("accept");
-    k.printf("[server] client connected from %s\n", fargs![peer.to_string()]);
+    k.printf(
+        "[server] client connected from %s\n",
+        fargs![peer.to_string()],
+    );
     while let Some(line) = read_line(k, conn) {
         let mut parts = line.splitn(3, ' ');
         let verb = parts.next().unwrap_or("");
@@ -94,13 +100,12 @@ fn server_main(k: &Kernel) {
         let reply = match verb {
             // Full pathnames at the wire protocol; the wrapper sees one
             // component at a time.
-            "GET" => match resolve(&secure_root, path)
-                .and_then(|f| {
-                    let mut buf = vec![0u8; 4096];
-                    let n = f.read_at(&mut buf, 0)?;
-                    buf.truncate(n);
-                    Ok(buf)
-                }) {
+            "GET" => match resolve(&secure_root, path).and_then(|f| {
+                let mut buf = vec![0u8; 4096];
+                let n = f.read_at(&mut buf, 0)?;
+                buf.truncate(n);
+                Ok(buf)
+            }) {
                 Ok(data) => {
                     let mut r = format!("OK {}\n", data.len()).into_bytes();
                     r.extend_from_slice(&data);
@@ -334,7 +339,8 @@ fn client_main(k: &Kernel) {
     k.init_networking(Ipv4Addr::new(10, 0, 0, 1), MASK);
     let p = &k.posix;
     let fd = p.socket(Domain::Inet, SockType::Stream).expect("socket");
-    p.connect(fd, SockAddr::new(SERVER_IP, 7070)).expect("connect");
+    p.connect(fd, SockAddr::new(SERVER_IP, 7070))
+        .expect("connect");
     k.printf("[client] connected\n", fargs![]);
 
     let send = |req: &str| {
@@ -392,8 +398,14 @@ fn client_main(k: &Kernel) {
     );
     send("SENDFILE /shadow\n");
     let denied_sf = recv_reply();
-    k.printf("[client] SENDFILE shadow -> %s\n", fargs![denied_sf.clone()]);
-    assert!(denied_sf.contains("ERR"), "security wrapper must deny sendfile");
+    k.printf(
+        "[client] SENDFILE shadow -> %s\n",
+        fargs![denied_sf.clone()],
+    );
+    assert!(
+        denied_sf.contains("ERR"),
+        "security wrapper must deny sendfile"
+    );
     send("PUT /notes.txt remember the milk\n");
     k.printf("[client] PUT notes -> %s\n", fargs![recv_reply()]);
     send("GET /notes.txt\n");

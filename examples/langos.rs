@@ -278,8 +278,7 @@ impl<'k> LangVm<'k> {
         vcpu.pc += 1;
         match op {
             x if x == Op::Push as u8 => {
-                let v =
-                    i32::from_le_bytes(code[vcpu.pc..vcpu.pc + 4].try_into().expect("imm"));
+                let v = i32::from_le_bytes(code[vcpu.pc..vcpu.pc + 4].try_into().expect("imm"));
                 vcpu.pc += 4;
                 vcpu.stack.push(v);
             }
@@ -429,8 +428,8 @@ impl Asm {
         self.push(0).storeg(1); // i = 0.
         self.label("loop");
         self.loadg(1).op(Op::Dup); // [limit, i, i]
-        // stack juggling: compare i < limit without locals: [limit,i,i]
-        // Keep simple: globals carry the state; limit goes to g2.
+                                   // stack juggling: compare i < limit without locals: [limit,i,i]
+                                   // Keep simple: globals carry the state; limit goes to g2.
         self.op(Op::Pop).op(Op::Pop); // Drop dup'd i; stack back to [limit].
         self.storeg(2); // g2 = limit (stored each outer pass; fine).
         self.loadg(1).loadg(2).op(Op::Lt); // [i < limit]
@@ -567,7 +566,11 @@ fn run_ttcp() {
     sim.run();
     let elapsed = *recv_done_at.lock().unwrap();
     let mbps = f64::from(TOTAL) * 8.0 / (elapsed as f64 / 1e9) / 1e6;
-    println!("\nlangos ttcp: {TOTAL} bytes in {:.1} ms virtual = {:.1} Mbit/s", elapsed as f64 / 1e6, mbps);
+    println!(
+        "\nlangos ttcp: {TOTAL} bytes in {:.1} ms virtual = {:.1} Mbit/s",
+        elapsed as f64 / 1e6,
+        mbps
+    );
     println!(
         "sender copies: {} B; receiver copies: {} B — the send path pays the\n\
          mbuf→skbuff conversion, so a language receiver outruns a language\n\

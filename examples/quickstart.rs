@@ -49,7 +49,10 @@ fn kernel_main(k: &Kernel) {
         .expect("boot module should be a file");
     let mut buf = [0u8; 128];
     let n = k.posix.read(fd, &mut buf).expect("read");
-    k.printf("motd.txt: %s", fargs![String::from_utf8_lossy(&buf[..n]).into_owned()]);
+    k.printf(
+        "motd.txt: %s",
+        fargs![String::from_utf8_lossy(&buf[..n]).into_owned()],
+    );
     k.posix.close(fd).expect("close");
 
     // 3. Physical memory through the LMM, with PC memory types: a
@@ -87,13 +90,12 @@ fn kernel_main(k: &Kernel) {
 
     // 5. The trap table with overridable handlers (§6.2.4): catch a
     //    divide-by-zero the way Java/PC caught null pointers.
-    k.base.traps.install(
-        oskit::machine::trap::vectors::DIVIDE,
-        |frame| {
+    k.base
+        .traps
+        .install(oskit::machine::trap::vectors::DIVIDE, |frame| {
             frame.eip += 2; // Skip the faulting instruction.
             oskit::machine::TrapDisposition::Handled
-        },
-    );
+        });
     let mut frame = oskit::machine::TrapFrame::at(oskit::machine::trap::vectors::DIVIDE, 0x1000);
     let action = k.base.traps.deliver(&mut frame);
     k.printf(

@@ -16,7 +16,10 @@ fn main() {
 
     println!("rtcp: {round_trips} one-byte round trips over simulated 100 Mbit/s Ethernet");
     println!("(paper §5, Table 2; virtual-time microseconds)\n");
-    println!("{:10} {:>12} {:>14} {:>12}", "", "RTT (us)", "crossings/RT", "copies/RT");
+    println!(
+        "{:10} {:>12} {:>14} {:>12}",
+        "", "RTT (us)", "crossings/RT", "copies/RT"
+    );
     let mut bsd_rtt = 0.0;
     let mut oskit_rtt = 0.0;
     for cfg in [NetConfig::linux(), NetConfig::freebsd(), NetConfig::oskit()] {

@@ -46,9 +46,22 @@ fn main() {
     println!();
 
     // The mechanics behind the shape, from the work meters.
-    let oskit = ttcp_run_mixed(NetConfig::oskit(), NetConfig::oskit(), blocks.min(1024), block_size);
-    let bsd = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::freebsd(), blocks.min(1024), block_size);
-    println!("why (per {} MB):", blocks.min(1024) * block_size / (1024 * 1024));
+    let oskit = ttcp_run_mixed(
+        NetConfig::oskit(),
+        NetConfig::oskit(),
+        blocks.min(1024),
+        block_size,
+    );
+    let bsd = ttcp_run_mixed(
+        NetConfig::freebsd(),
+        NetConfig::freebsd(),
+        blocks.min(1024),
+        block_size,
+    );
+    println!(
+        "why (per {} MB):",
+        blocks.min(1024) * block_size / (1024 * 1024)
+    );
     println!(
         "  OSKit sender copied {} B in {} copies ({} glue crossings);",
         oskit.sender.bytes_copied, oskit.sender.copies, oskit.sender.crossings

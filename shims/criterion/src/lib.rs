@@ -53,7 +53,11 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Runs one benchmark in this group.
-    pub fn bench_function(&mut self, id: impl std::fmt::Display, f: impl FnMut(&mut Bencher)) -> &mut Self {
+    pub fn bench_function(
+        &mut self,
+        id: impl std::fmt::Display,
+        f: impl FnMut(&mut Bencher),
+    ) -> &mut Self {
         run_bench(&format!("{}/{}", self.name, id), self.sample_size, f);
         self
     }

@@ -21,7 +21,10 @@ fn twenty_line_kernel() {
         let fd = k2.posix.open("/data", OpenFlags::RDONLY, 0).unwrap();
         let mut buf = [0u8; 16];
         let n = k2.posix.read(fd, &mut buf).unwrap();
-        k2.printf("module says: %s\n", fargs![String::from_utf8_lossy(&buf[..n]).into_owned()]);
+        k2.printf(
+            "module says: %s\n",
+            fargs![String::from_utf8_lossy(&buf[..n]).into_owned()],
+        );
     });
     sim.run();
     let out = k.console_output();

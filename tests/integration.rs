@@ -125,7 +125,9 @@ fn exec_image_from_fsread_volume() {
 /// line (§3.5's "full source-level kernel debugging environment").
 #[test]
 fn gdb_stub_over_kernel_uart() {
-    use oskit::gdb::{encode_packet, GdbConn, GdbStub, GdbTarget, MachineTarget, Resume, StopReason};
+    use oskit::gdb::{
+        encode_packet, GdbConn, GdbStub, GdbTarget, MachineTarget, Resume, StopReason,
+    };
     use oskit::machine::{Machine, Sim, TrapFrame, Uart};
 
     let sim = Sim::new();

@@ -224,11 +224,11 @@ fn oskit_receive_beats_oskit_send() {
 /// Linux-style stack, selected purely by which factory is registered.
 #[test]
 fn posix_layer_is_stack_agnostic() {
+    use oskit::clib::PosixIo;
     use oskit::com::interfaces::socket::{Domain, SockAddr, SockType, SocketFactory};
     use oskit::linux_dev::{LinuxSocketFactory, NetDevice};
     use oskit::machine::{Machine, Nic, Sim};
     use oskit::osenv::OsEnv;
-    use oskit::clib::PosixIo;
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -275,9 +275,17 @@ fn posix_layer_is_stack_agnostic() {
         let da = NetDevice::new("eth0", &ea, na);
         let db = NetDevice::new("eth0", &eb, nb);
         let ia = oskit::linux_dev::linux::inet::LinuxInet::attach(
-            &ea, &da, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
+            &ea,
+            &da,
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(255, 255, 255, 0),
+        );
         let ib = oskit::linux_dev::linux::inet::LinuxInet::attach(
-            &eb, &db, Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(255, 255, 255, 0));
+            &eb,
+            &db,
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(255, 255, 255, 0),
+        );
         ma.irq.enable();
         mb.irq.enable();
         let pa = PosixIo::new();
@@ -291,8 +299,12 @@ fn posix_layer_is_stack_agnostic() {
     // kernel path (already covered elsewhere; here for the side-by-side).
     {
         let sim = Sim::new();
-        let (ka, nics_a, _) = oskit::KernelBuilder::new("a").nic([2, 0, 0, 0, 0, 1]).boot(&sim);
-        let (kb, nics_b, _) = oskit::KernelBuilder::new("b").nic([2, 0, 0, 0, 0, 2]).boot(&sim);
+        let (ka, nics_a, _) = oskit::KernelBuilder::new("a")
+            .nic([2, 0, 0, 0, 0, 1])
+            .boot(&sim);
+        let (kb, nics_b, _) = oskit::KernelBuilder::new("b")
+            .nic([2, 0, 0, 0, 0, 2])
+            .boot(&sim);
         Nic::connect(&nics_a[0], &nics_b[0]);
         ka.init_networking(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
         kb.init_networking(Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(255, 255, 255, 0));

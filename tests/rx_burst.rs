@@ -21,7 +21,10 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
 }
@@ -95,7 +98,10 @@ fn run_burst(napi: bool, payloads: Vec<Vec<u8>>, burst_len: usize, gap_ns: u64) 
         got,
         meter: mb.work(),
         nic_dropped: nb.rx_dropped(),
-        dev_dropped: db.stats.rx_dropped.load(std::sync::atomic::Ordering::Relaxed),
+        dev_dropped: db
+            .stats
+            .rx_dropped
+            .load(std::sync::atomic::Ordering::Relaxed),
     }
 }
 
@@ -194,5 +200,10 @@ fn ring_overflow_is_the_only_source_of_drops() {
     // Exactly the ring's worth delivered, none corrupted, and the only
     // drop accounting anywhere is the NIC's overflow count.
     assert_eq!(got.lock().len(), 64);
-    assert_eq!(db.stats.rx_dropped.load(std::sync::atomic::Ordering::Relaxed), 0);
+    assert_eq!(
+        db.stats
+            .rx_dropped
+            .load(std::sync::atomic::Ordering::Relaxed),
+        0
+    );
 }

@@ -28,7 +28,9 @@ fn payloads_from(sizes: &[usize], seed: u64) -> Vec<Vec<u8>> {
         .map(|&len| {
             (0..len)
                 .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     (x >> 33) as u8
                 })
                 .collect()

@@ -37,7 +37,10 @@ fn sendfile_copies_zero_bytes_at_every_glue_seam() {
     // Aggregate shape: the payload moved as gathers, not copies.  (The
     // few copied bytes are metadata sync, not payload: far below one
     // payload's worth.)
-    assert!(r.server.bytes_gathered >= r.bytes, "payload was not gathered");
+    assert!(
+        r.server.bytes_gathered >= r.bytes,
+        "payload was not gathered"
+    );
     assert!(
         r.server.bytes_copied < r.bytes / 8,
         "sendfile copied {} of {} bytes",
@@ -138,7 +141,10 @@ fn send_on_falls_back_to_copying_when_the_sink_cannot_take_pages() {
     }
 
     // The file side of the zero-copy pact is present...
-    assert!(f.query::<dyn FileBufIo>().is_some(), "FFS file lost FileBufIo");
+    assert!(
+        f.query::<dyn FileBufIo>().is_some(),
+        "FFS file lost FileBufIo"
+    );
     let sink = SinkStream::new();
     // ...but the sink's is not, so discovery must choose the bounce leg.
     assert!(sink.query::<dyn SendBufIo>().is_none());
