@@ -122,10 +122,21 @@ impl BoundaryMetrics {
 /// A full per-boundary metrics snapshot from one tracer.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
-    /// One entry per boundary registered in the process, in registration
-    /// order (index == [`BoundaryId::index`]).  Boundaries this tracer
-    /// never touched are present with all-zero counters.
+    /// One entry per boundary registered in the process, sorted by
+    /// `(component, name)` so the order never depends on which seams the
+    /// process happened to touch first.  Boundaries this tracer never
+    /// touched are present with all-zero counters.
     pub boundaries: Vec<BoundaryMetrics>,
+}
+
+impl FromIterator<BoundaryMetrics> for TraceReport {
+    /// Collects rows in any order into a report sorted by
+    /// `(component, name)`.
+    fn from_iter<I: IntoIterator<Item = BoundaryMetrics>>(rows: I) -> TraceReport {
+        let mut boundaries: Vec<BoundaryMetrics> = rows.into_iter().collect();
+        boundaries.sort_by_key(|b| (b.component, b.name));
+        TraceReport { boundaries }
+    }
 }
 
 impl TraceReport {
@@ -272,7 +283,7 @@ impl Tracer {
     pub fn metrics(&self) -> TraceReport {
         let names = boundary_names();
         let counts = self.ledger().boundaries.clone();
-        let boundaries = names
+        names
             .into_iter()
             .enumerate()
             .map(|(i, (component, name))| BoundaryMetrics {
@@ -280,8 +291,7 @@ impl Tracer {
                 name,
                 ..counts.get(i).copied().unwrap_or_default()
             })
-            .collect();
-        TraceReport { boundaries }
+            .collect()
     }
 
     /// Removes and returns the flight recorder's events, oldest first.

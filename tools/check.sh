@@ -14,6 +14,9 @@ for arg in "$@"; do
     esac
 done
 
+echo "==> cargo fmt --check (workspace; perfbench/ is its own workspace)"
+cargo fmt --check
+
 echo "==> cargo test -q (workspace)"
 cargo test -q
 
