@@ -11,6 +11,7 @@ use oskit_com::interfaces::blkio::{BlkIo, BufIo, VecBufIo};
 use oskit_com::interfaces::fs::FileExtent;
 use oskit_com::{Error, Result};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The mounted file system core.  All vnode operations funnel through
@@ -19,6 +20,9 @@ use std::sync::Arc;
 pub struct FsCore {
     cache: BufCache,
     sb: Mutex<Superblock>,
+    /// The superblock changed since it was last written (FFS's
+    /// `fs_fmod`): set by every allocation and free, cleared by `sync`.
+    fmod: AtomicBool,
     /// Set once unmounted; all operations then fail with `Stale`.
     dead: Mutex<bool>,
 }
@@ -64,6 +68,7 @@ impl FsCore {
         Ok(Arc::new(FsCore {
             cache,
             sb: Mutex::new(sb),
+            fmod: AtomicBool::new(false),
             dead: Mutex::new(false),
         }))
     }
@@ -83,11 +88,19 @@ impl FsCore {
         }
     }
 
-    /// Flushes the superblock and all dirty buffers.
+    /// Flushes the superblock, if it was modified, and all dirty buffers.
     pub fn sync(&self) -> Result<()> {
-        let sb = *self.sb.lock();
-        self.cache.bwrite_full(0, &sb.encode())?;
+        if self.fmod.swap(false, Ordering::Relaxed) {
+            let sb = *self.sb.lock();
+            self.cache.bwrite_full(0, &sb.encode())?;
+        }
         self.cache.sync()
+    }
+
+    /// Applies `f` to the in-core superblock and marks it modified.
+    fn sb_modify(&self, f: impl FnOnce(&mut Superblock)) {
+        f(&mut self.sb.lock());
+        self.fmod.store(true, Ordering::Relaxed);
     }
 
     /// A copy of the current superblock.
@@ -143,7 +156,7 @@ impl FsCore {
             .ok_or(Error::NoSpace)?;
         let blk = sb.data_start + rel;
         self.cache.bwrite_full(blk, &vec![0u8; BLOCK_SIZE])?;
-        self.sb.lock().free_blocks -= 1;
+        self.sb_modify(|sb| sb.free_blocks -= 1);
         Ok(blk)
     }
 
@@ -155,7 +168,7 @@ impl FsCore {
             "bfree of metadata"
         );
         self.bitmap_free(sb.bbmap_start, blk - sb.data_start)?;
-        self.sb.lock().free_blocks += 1;
+        self.sb_modify(|sb| sb.free_blocks += 1);
         Ok(())
     }
 
@@ -165,7 +178,7 @@ impl FsCore {
         let ino = self
             .bitmap_alloc(sb.ibmap_start, sb.ninodes)?
             .ok_or(Error::NoSpace)?;
-        self.sb.lock().free_inodes -= 1;
+        self.sb_modify(|sb| sb.free_inodes -= 1);
         let d = Dinode {
             mode: imode,
             nlink: 0,
@@ -180,7 +193,7 @@ impl FsCore {
         let sb = *self.sb.lock();
         self.write_inode(ino, &Dinode::default())?;
         self.bitmap_free(sb.ibmap_start, ino)?;
-        self.sb.lock().free_inodes += 1;
+        self.sb_modify(|sb| sb.free_inodes += 1);
         Ok(())
     }
 
@@ -285,10 +298,21 @@ impl FsCore {
     /// Reads logical block `lbn` of a file through the cache
     /// (`cluster_read`): a miss fills the block and the rest of its
     /// [`FsCore::bmap`] run with one disk request.  `None` is a hole.
+    ///
+    /// A run that ends at the last direct block also takes the single
+    /// indirect block when that is the next disk block (where `balloc`
+    /// puts it for a file written in order): mapping the next logical
+    /// block needs it anyway, and here it costs no extra request.
     fn read_lbn(&self, d: &mut Dinode, lbn: u32) -> Result<Option<Arc<CachedBlock>>> {
-        let (blk, run) = self.bmap(d, lbn, false)?;
+        let (blk, mut run) = self.bmap(d, lbn, false)?;
         if blk == 0 {
             return Ok(None);
+        }
+        if lbn as usize + run == NDADDR
+            && d.indirect == d.direct[NDADDR - 1] + 1
+            && run < MAXPHYS / BLOCK_SIZE
+        {
+            run += 1;
         }
         self.cache.cluster_read(blk, run).map(Some)
     }
@@ -359,6 +383,11 @@ impl FsCore {
     }
 
     /// Writes `buf` into inode `ino` at `offset`, growing the file.
+    ///
+    /// A block whose old bytes the write does not need is filled without
+    /// reading the disk (`getblk`): a whole block, or one written from its
+    /// start up to the current end of file or beyond, whose remaining
+    /// bytes lie past EOF and so are zero (see [`FsCore::itrunc`]).
     pub fn file_write(&self, ino: u32, buf: &[u8], offset: u64) -> Result<usize> {
         self.check_alive()?;
         let mut d = self.read_inode(ino)?;
@@ -369,8 +398,10 @@ impl FsCore {
             let skew = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - skew).min(buf.len() - done);
             let (blk, _) = self.bmap(&mut d, lbn, true)?;
-            if n == BLOCK_SIZE {
-                self.cache.bwrite_full(blk, &buf[done..done + n])?;
+            if skew == 0 && (n == BLOCK_SIZE || pos + n as u64 >= d.size) {
+                let mut block = [0u8; BLOCK_SIZE];
+                block[..n].copy_from_slice(&buf[done..done + n]);
+                self.cache.bwrite_full(blk, &block)?;
             } else {
                 self.cache.bmodify(blk, |b| {
                     b[skew..skew + n].copy_from_slice(&buf[done..done + n])
@@ -385,12 +416,24 @@ impl FsCore {
 
     /// Truncates inode `ino` to `new_size` (shrink frees blocks; grow
     /// leaves holes).
+    ///
+    /// A shrink zeroes the kept last block past the new end of file, as
+    /// the donor's `ffs_truncate` does, and frees every block past it: a
+    /// byte past EOF always reads as zero, so a later grow (or a write
+    /// past EOF) never brings old data back.
     pub fn itrunc(&self, ino: u32, new_size: u64) -> Result<()> {
         self.check_alive()?;
         let mut d = self.read_inode(ino)?;
         if new_size >= d.size {
             d.size = new_size;
             return self.write_inode(ino, &d);
+        }
+        let tail = (new_size % BLOCK_SIZE as u64) as usize;
+        if tail != 0 {
+            let (blk, _) = self.bmap(&mut d, (new_size / BLOCK_SIZE as u64) as u32, false)?;
+            if blk != 0 {
+                self.cache.bmodify(blk, |b| b[tail..].fill(0))?;
+            }
         }
         let keep_blocks = new_size.div_ceil(BLOCK_SIZE as u64) as usize;
         // Free direct blocks past the cut.
@@ -400,8 +443,8 @@ impl FsCore {
                 d.direct[lbn] = 0;
             }
         }
-        // Indirect tree: free whole levels past the cut (block-exact for
-        // the single-indirect level, conservative-whole for the double).
+        // Indirect tree: free whole trees past the cut, and trim the one
+        // the cut falls in block by block.
         if keep_blocks <= NDADDR {
             if d.indirect != 0 {
                 self.free_indir(d.indirect, 0)?;
@@ -414,16 +457,16 @@ impl FsCore {
         } else if keep_blocks <= NDADDR + NINDIR {
             let keep_ind = keep_blocks - NDADDR;
             if d.indirect != 0 {
-                self.free_indir_partial(d.indirect, keep_ind)?;
+                self.free_indir_partial(d.indirect, keep_ind, 0)?;
             }
             if d.double_indirect != 0 {
                 self.free_indir(d.double_indirect, 1)?;
                 d.double_indirect = 0;
             }
+        } else if d.double_indirect != 0 {
+            let keep_dbl = keep_blocks - NDADDR - NINDIR;
+            self.free_indir_partial(d.double_indirect, keep_dbl, 1)?;
         }
-        // (Partial trims inside the double-indirect region keep the whole
-        // tree; fsck treats reachable-but-beyond-size blocks as waste, not
-        // corruption, matching the conservative donor behavior.)
         d.size = new_size;
         self.write_inode(ino, &d)
     }
@@ -445,9 +488,13 @@ impl FsCore {
         self.bfree(iblk)
     }
 
-    fn free_indir_partial(&self, iblk: u32, keep: usize) -> Result<()> {
+    /// Frees everything indirect block `iblk` maps past its first `keep`
+    /// data blocks (`keep` > 0); `depth` counts the indirect levels below
+    /// `iblk`, as in [`FsCore::free_indir`].
+    fn free_indir_partial(&self, iblk: u32, keep: usize, depth: u32) -> Result<()> {
+        let span = NINDIR.pow(depth);
         let entries: Vec<(usize, u32)> = self.cache.bread(iblk, |b| {
-            (keep..NINDIR)
+            (keep / span..NINDIR)
                 .map(|i| {
                     (
                         i,
@@ -458,7 +505,17 @@ impl FsCore {
                 .collect()
         })?;
         for (i, e) in entries {
-            self.bfree(e)?;
+            let kept = keep - (i * span).min(keep);
+            if kept > 0 {
+                // The entry the cut falls in (only below a double indirect).
+                self.free_indir_partial(e, kept, depth - 1)?;
+                continue;
+            }
+            if depth > 0 {
+                self.free_indir(e, depth - 1)?;
+            } else {
+                self.bfree(e)?;
+            }
             self.cache
                 .bmodify(iblk, |b| b[i * 4..i * 4 + 4].copy_from_slice(&[0; 4]))?;
         }
@@ -721,6 +778,80 @@ mod tests {
         let n = fs.file_read(ino, &mut back, 0).unwrap();
         assert_eq!(n, 10_000);
         assert_eq!(&back[..10_000], &data[..10_000]);
+    }
+
+    #[test]
+    fn shrink_then_grow_reads_zeros_past_the_cut() {
+        let fs = fresh_fs(256);
+        let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+        fs.file_write(ino, &[0xAB; 20_000], 0).unwrap();
+        fs.itrunc(ino, 10_000).unwrap();
+        fs.itrunc(ino, 12_000).unwrap();
+        let mut back = vec![0u8; 12_000];
+        assert_eq!(fs.file_read(ino, &mut back, 0).unwrap(), 12_000);
+        assert!(back[..10_000].iter().all(|&b| b == 0xAB));
+        assert!(back[10_000..].iter().all(|&b| b == 0), "stale bytes");
+    }
+
+    #[test]
+    fn shrink_then_write_past_eof_reads_zeros_in_the_gap() {
+        let fs = fresh_fs(256);
+        let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+        fs.file_write(ino, &[0xAB; 8_000], 0).unwrap();
+        fs.itrunc(ino, 5_000).unwrap();
+        fs.file_write(ino, &[0xCD; 100], 7_000).unwrap();
+        let mut back = vec![0u8; 7_100];
+        assert_eq!(fs.file_read(ino, &mut back, 0).unwrap(), 7_100);
+        assert!(back[..5_000].iter().all(|&b| b == 0xAB));
+        assert!(back[5_000..7_000].iter().all(|&b| b == 0), "stale bytes");
+        assert!(back[7_000..].iter().all(|&b| b == 0xCD));
+    }
+
+    #[test]
+    fn write_up_to_eof_zeroes_the_rest_of_the_block() {
+        // A block written from its start to EOF is not read first; what
+        // it does not cover lies past EOF and must read back as zero.
+        let fs = fresh_fs(256);
+        let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+        fs.file_write(ino, &[0xAB; 6_000], 0).unwrap();
+        fs.file_write(ino, &[0xCD; 1_904], 4_096).unwrap();
+        fs.itrunc(ino, 8_192).unwrap();
+        let mut back = vec![0u8; 8_192];
+        assert_eq!(fs.file_read(ino, &mut back, 0).unwrap(), 8_192);
+        assert!(back[..4_096].iter().all(|&b| b == 0xAB));
+        assert!(back[4_096..6_000].iter().all(|&b| b == 0xCD));
+        assert!(back[6_000..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn double_indirect_truncate_frees_block_by_block() {
+        let fs = fresh_fs(4096);
+        let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+        let free0 = fs.superblock().free_blocks;
+        // 20 blocks under the first second-level block, 2 under the next.
+        let first = (NDADDR + NINDIR) as u64 * BLOCK_SIZE as u64;
+        fs.file_write(ino, &vec![0xAB; 20 * BLOCK_SIZE], first)
+            .unwrap();
+        let second = first + (NINDIR + 3) as u64 * BLOCK_SIZE as u64;
+        fs.file_write(ino, &vec![0xCD; 2 * BLOCK_SIZE], second)
+            .unwrap();
+        assert_eq!(fs.superblock().free_blocks, free0 - (1 + 1 + 20 + 1 + 2));
+        // Cut inside block 5: the double indirect block, the first
+        // second-level block and 5 data blocks stay.
+        let cut = first + 4 * BLOCK_SIZE as u64 + 100;
+        fs.itrunc(ino, cut).unwrap();
+        assert_eq!(fs.superblock().free_blocks, free0 - (1 + 1 + 5));
+        // Growing back reads zeros past the cut.
+        fs.itrunc(ino, second + 10).unwrap();
+        let mut back = vec![0xFFu8; 2 * BLOCK_SIZE];
+        fs.file_read(ino, &mut back, cut - 100).unwrap();
+        assert!(back[..100].iter().all(|&b| b == 0xAB));
+        assert!(back[100..].iter().all(|&b| b == 0), "stale bytes");
+        let mut far = [0xFFu8; 10];
+        fs.file_read(ino, &mut far, second).unwrap();
+        assert_eq!(far, [0; 10]);
+        fs.itrunc(ino, 0).unwrap();
+        assert_eq!(fs.superblock().free_blocks, free0);
     }
 
     #[test]

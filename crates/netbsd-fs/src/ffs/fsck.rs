@@ -5,7 +5,7 @@
 //! directory tree verifying entries and link counts.
 
 use super::fs::FsCore;
-use super::ondisk::{BLOCK_SIZE, NDADDR, NINDIR, ROOT_INO};
+use super::ondisk::{Dinode, BLOCK_SIZE, NDADDR, NINDIR, ROOT_INO};
 use oskit_com::Result;
 use std::collections::HashMap;
 
@@ -45,6 +45,12 @@ pub enum Finding {
     },
     /// An allocated inode is unreachable from the root.
     OrphanInode {
+        /// The inode.
+        ino: u32,
+    },
+    /// A file's last block holds non-zero bytes past the file's size,
+    /// which a later grow or a write past EOF would bring back.
+    DataPastEof {
         /// The inode.
         ino: u32,
     },
@@ -98,6 +104,9 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
                     }
                 }
             }
+        }
+        if data_past_eof(fs, &d)? {
+            findings.push(Finding::DataPastEof { ino });
         }
     }
 
@@ -174,6 +183,20 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
         }
     }
     Ok(findings)
+}
+
+/// Whether the last block of the file `d` holds a non-zero byte past
+/// its size.
+fn data_past_eof(fs: &FsCore, d: &Dinode) -> Result<bool> {
+    let tail = (d.size % BLOCK_SIZE as u64) as usize;
+    if tail == 0 {
+        return Ok(false);
+    }
+    let (blk, _) = fs.bmap(&mut d.clone(), (d.size / BLOCK_SIZE as u64) as u32, false)?;
+    if blk == 0 {
+        return Ok(false);
+    }
+    fs.cache().bread(blk, |b| b[tail..].iter().any(|&x| x != 0))
 }
 
 fn read_indir(fs: &FsCore, iblk: u32) -> Result<Vec<u32>> {
@@ -266,6 +289,28 @@ mod tests {
         assert!(findings
             .iter()
             .any(|x| matches!(x, Finding::BadDirent { name, .. } if name == "ghost")));
+    }
+
+    #[test]
+    fn detects_data_past_eof() {
+        let (_dev, fs) = fresh();
+        let f = fs.ialloc(mode::IFREG | 0o644).unwrap();
+        fs.file_write(f, &[0xAB; 8000], 0).unwrap();
+        fs.dir_enter(ROOT_INO, "tail", f).unwrap();
+        let mut d = fs.read_inode(f).unwrap();
+        d.nlink = 1;
+        fs.write_inode(f, &d).unwrap();
+        assert_eq!(fsck(&fs).unwrap(), vec![]);
+        // Shrink the size field alone, leaving the old bytes of the last
+        // block in place.
+        d.size = 5000;
+        fs.write_inode(f, &d).unwrap();
+        assert_eq!(fsck(&fs).unwrap(), vec![Finding::DataPastEof { ino: f }]);
+        // A truncate zeroes the tail.
+        d.size = 8000;
+        fs.write_inode(f, &d).unwrap();
+        fs.itrunc(f, 5000).unwrap();
+        assert_eq!(fsck(&fs).unwrap(), vec![]);
     }
 
     #[test]

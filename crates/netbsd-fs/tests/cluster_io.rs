@@ -1,6 +1,9 @@
 //! Clustered block I/O, counted at the device: every cold file read
 //! moves each `bmap` run with one disk request of up to `MAXPHYS`, and
 //! `sync` writes each run of consecutive dirty blocks with one request.
+//! Metadata costs no request it does not need: a clean superblock is not
+//! written, a block written up to EOF is not read first, and the first
+//! indirect block comes with the direct run it follows on disk.
 
 use oskit_bufcache::MAXPHYS;
 use oskit_com::interfaces::blkio::{BlkIo, VecBufIo};
@@ -126,27 +129,34 @@ fn cold_sequential_read_issues_one_request_per_maxphys() {
     let mut byte = [0u8; 1];
     fs.file_read(ino, &mut byte, 0).unwrap();
     assert_eq!(byte[0], pattern(0)[0]);
+    // The direct run ends at the last direct block, and the indirect
+    // block follows it on disk: one request takes both.
+    assert_eq!(indirect, map[NDADDR - 1] + 1);
     assert_eq!(
         log.take(),
-        [(false, itable_block(&fs, ino), 1), (false, map[0], NDADDR)]
+        [
+            (false, itable_block(&fs, ino), 1),
+            (false, map[0], NDADDR + 1)
+        ]
     );
     // The rest of the file, 4 KiB at a time: the 64 indirect-mapped
-    // blocks come in 4 data reads of MAXPHYS, after one metadata read
-    // of the indirect block.
+    // blocks come in 4 data reads of MAXPHYS, and mapping them reads
+    // nothing more.
     let mut buf = vec![0u8; BLOCK_SIZE];
     for lbn in 0..map.len() {
         fs.file_read(ino, &mut buf, (lbn * BLOCK_SIZE) as u64)
             .unwrap();
         assert_eq!(buf, pattern(lbn), "lbn {lbn}");
     }
-    let mut want = vec![(false, indirect, 1)];
-    want.extend((0..4).map(|k| (false, map[NDADDR + k * RUN], RUN)));
+    let want: Vec<Req> = (0..4)
+        .map(|k| (false, map[NDADDR + k * RUN], RUN))
+        .collect();
     assert_eq!(log.take(), want);
     let (hits, misses) = fs.cache().stats();
     assert_eq!(
         misses,
-        1 + 1 + 1 + 1 + 4,
-        "superblock, inode, direct run, indirect, 4 runs"
+        1 + 1 + 1 + 4,
+        "superblock, inode, direct run with the indirect, 4 runs"
     );
     assert!(hits >= map.len() as u64);
 }
@@ -162,9 +172,125 @@ fn sync_of_64_contiguous_dirty_blocks_issues_4_data_writes() {
     write_blocks(&fs, ino, NDADDR..NDADDR + 64);
     log.take();
     fs.sync().unwrap();
-    let mut want = vec![(true, 0, 1), (true, itable_block(&fs, ino), 1)];
+    // Nothing was allocated, so the superblock is clean and not written.
+    let mut want = vec![(true, itable_block(&fs, ino), 1)];
     want.extend((0..4).map(|k| (true, map[NDADDR + k * RUN], RUN)));
-    assert_eq!(log.take(), want, "superblock, inode, then 4 data clusters");
+    assert_eq!(log.take(), want, "inode, then 4 data clusters");
+}
+
+#[test]
+fn same_size_overwrite_and_sync_reads_nothing() {
+    // A 41-block file whose last block is partial: an overwrite of the
+    // same size, cold except for what reading its first byte brought in.
+    let (log, dev) = volume(1024);
+    let fs = FsCore::mount(&dev).unwrap();
+    let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+    let size = 40 * BLOCK_SIZE + 1000;
+    let old: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+    assert_eq!(fs.file_write(ino, &old, 0).unwrap(), size);
+    let map = block_map(&fs, ino, 41);
+    fs.unmount().unwrap();
+
+    let fs = FsCore::mount(&dev).unwrap();
+    log.take();
+    let mut byte = [0u8; 1];
+    fs.file_read(ino, &mut byte, 0).unwrap();
+    assert_eq!(log.take().len(), 2, "inode, direct run with the indirect");
+    let new: Vec<u8> = (0..size).map(|i| (i % 249) as u8).collect();
+    assert_eq!(fs.file_write(ino, &new, 0).unwrap(), size);
+    fs.sync().unwrap();
+    assert_eq!(
+        log.take(),
+        [
+            (true, itable_block(&fs, ino), 1),
+            (true, map[0], NDADDR),
+            (true, map[NDADDR], RUN),
+            (true, map[NDADDR + RUN], 41 - NDADDR - RUN),
+        ],
+        "no read, no superblock: the inode and the data runs"
+    );
+    fs.unmount().unwrap();
+    let fs = FsCore::mount(&dev).unwrap();
+    let mut back = vec![0u8; size + 1];
+    assert_eq!(fs.file_read(ino, &mut back, 0).unwrap(), size);
+    assert_eq!(&back[..size], &new[..]);
+}
+
+#[test]
+fn the_superblock_is_written_once_per_modification() {
+    let (log, dev) = volume(256);
+    let fs = FsCore::mount(&dev).unwrap();
+    let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+    write_blocks(&fs, ino, 0..1);
+    log.take();
+    fs.sync().unwrap();
+    let writes = log.take();
+    assert!(writes.iter().all(|&(write, _, _)| write), "{writes:?}");
+    let covers_0 = writes.iter().filter(|&&(_, blk, n)| blk == 0 && n > 0);
+    assert_eq!(covers_0.count(), 1, "block 0 written once: {writes:?}");
+    fs.sync().unwrap();
+    assert_eq!(log.take(), [], "a second sync has nothing to write");
+}
+
+#[test]
+fn a_partial_write_short_of_eof_reads_the_block_first() {
+    let (log, dev) = volume(256);
+    let fs = FsCore::mount(&dev).unwrap();
+    let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+    write_blocks(&fs, ino, 0..3);
+    let map = block_map(&fs, ino, 3);
+    fs.unmount().unwrap();
+
+    let fs = FsCore::mount(&dev).unwrap();
+    log.take();
+    // From the block's start, but short of EOF.
+    fs.file_write(ino, &[0xEE; 100], 0).unwrap();
+    assert_eq!(
+        log.take(),
+        [(false, itable_block(&fs, ino), 1), (false, map[0], 1)]
+    );
+    // Up to EOF, but not from the block's start.
+    let last = 2 * BLOCK_SIZE as u64;
+    fs.file_write(ino, &[0xEE; BLOCK_SIZE - 10], last + 10)
+        .unwrap();
+    assert_eq!(log.take(), [(false, map[2], 1)]);
+    let mut back = vec![0u8; 3 * BLOCK_SIZE];
+    fs.file_read(ino, &mut back, 0).unwrap();
+    let mut want: Vec<u8> = (0..3).flat_map(pattern).collect();
+    want[..100].fill(0xEE);
+    want[2 * BLOCK_SIZE + 10..].fill(0xEE);
+    assert_eq!(back, want);
+}
+
+#[test]
+fn a_run_takes_no_indirect_block_that_is_not_next_on_disk() {
+    let (log, dev) = volume(256);
+    let fs = FsCore::mount(&dev).unwrap();
+    let f = fs.ialloc(mode::IFREG | 0o644).unwrap();
+    let g = fs.ialloc(mode::IFREG | 0o644).unwrap();
+    write_blocks(&fs, f, 0..NDADDR);
+    write_blocks(&fs, g, 0..1); // Takes the block after f's lbn 11.
+    write_blocks(&fs, f, NDADDR..NDADDR + 2);
+    let map = block_map(&fs, f, NDADDR + 2);
+    let indirect = fs.read_inode(f).unwrap().indirect;
+    assert_eq!(indirect, map[NDADDR - 1] + 2);
+    assert_eq!(map[NDADDR], indirect + 1);
+    fs.unmount().unwrap();
+
+    let fs = FsCore::mount(&dev).unwrap();
+    log.take();
+    let mut back = vec![0u8; (NDADDR + 2) * BLOCK_SIZE];
+    fs.file_read(f, &mut back, 0).unwrap();
+    assert_eq!(back, (0..NDADDR + 2).flat_map(pattern).collect::<Vec<_>>());
+    assert_eq!(
+        log.take(),
+        [
+            (false, itable_block(&fs, f), 1),
+            (false, map[0], NDADDR),
+            (false, indirect, 1),
+            (false, map[NDADDR], 2),
+        ]
+    );
 }
 
 #[test]
@@ -223,9 +349,9 @@ fn a_hole_or_a_discontiguous_block_ends_a_run() {
 
 #[test]
 fn a_run_never_passes_the_end_of_the_file() {
-    // A partial truncate inside the double-indirect region keeps the
-    // blocks past the cut allocated; the run must still stop at the
-    // file's last block.
+    // Even when the blocks past it are allocated and contiguous (an
+    // inode whose size alone was cut), the run stops at the file's last
+    // block.
     let (_log, dev) = volume(4096);
     let fs = FsCore::mount(&dev).unwrap();
     let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
@@ -233,8 +359,7 @@ fn a_run_never_passes_the_end_of_the_file() {
     write_blocks(&fs, ino, first..first + 20);
     let mut d = fs.read_inode(ino).unwrap();
     assert_eq!(fs.bmap(&mut d, first as u32, false).unwrap().1, RUN);
-    fs.itrunc(ino, ((first + 5) * BLOCK_SIZE) as u64).unwrap();
-    let mut d = fs.read_inode(ino).unwrap();
+    d.size = ((first + 5) * BLOCK_SIZE) as u64;
     let (blk, run) = fs.bmap(&mut d, first as u32, false).unwrap();
     assert_ne!(blk, 0);
     assert_eq!(run, 5);

@@ -20,6 +20,9 @@ cargo fmt --check
 echo "==> cargo test -q (workspace)"
 cargo test -q
 
+echo "==> cargo test perfbench (every workload's oracle, remount and fsck)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-soak replay determinism (same seed, two processes, identical ledgers)"
 # -o: libtest's progress dots share stdout with the ledger lines; sort:
 # the soak tests run in parallel, so their lines arrive in any order.
