@@ -32,7 +32,7 @@
 
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
-use oskit_machine::{boundary, Machine};
+use oskit_machine::{boundary, EventKind, Machine};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -290,21 +290,21 @@ impl BufCache {
     fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &*self.machine.lock() {
-            m.note_cache_hit_at(boundary!("bufcache", "getblk"));
+            m.note_at(boundary!("bufcache", "getblk"), EventKind::CacheHit);
         }
     }
 
     fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &*self.machine.lock() {
-            m.note_cache_miss_at(boundary!("bufcache", "getblk"));
+            m.note_at(boundary!("bufcache", "getblk"), EventKind::CacheMiss);
         }
     }
 
     fn note_evict(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &*self.machine.lock() {
-            m.note_cache_evict_at(boundary!("bufcache", "getblk"));
+            m.note_at(boundary!("bufcache", "getblk"), EventKind::CacheEvict);
         }
     }
 

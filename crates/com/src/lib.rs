@@ -21,7 +21,6 @@
 //! *purely behavioral contracts*: nothing in this crate forces a buffer
 //! representation, an allocator, or a threading model on either side.
 
-pub mod dispatch;
 mod error;
 mod guid;
 mod iunknown;

@@ -9,7 +9,7 @@
 //! ([`register_object`]/[`lookup_object`]): named `IUnknown` references a
 //! client can retrieve and `query_interface` without linking against the
 //! provider's concrete types — the OSKit rendezvous point for services
-//! like `oskit_trace`.
+//! like `oskit_fault`.
 
 use crate::iunknown::IUnknown;
 use std::sync::{Arc, Mutex};
@@ -98,19 +98,14 @@ pub fn register_object(name: &'static str, obj: Arc<dyn IUnknown>) {
 }
 
 /// Retrieves a previously published object by name, bumping its
-/// reference count.  Dispatch through the registry is itself counted by
-/// the [`crate::dispatch`] hook as a `registry` lookup.
+/// reference count.
 pub fn lookup_object(name: &str) -> Option<Arc<dyn IUnknown>> {
-    let found = OBJECTS
+    OBJECTS
         .lock()
         .expect("poisoned")
         .iter()
         .find(|(n, _)| *n == name)
-        .map(|(_, o)| Arc::clone(o));
-    if found.is_some() {
-        crate::dispatch::note_query("oskit_registry_lookup");
-    }
-    found
+        .map(|(_, o)| Arc::clone(o))
 }
 
 /// Names of every published object, in registration order.

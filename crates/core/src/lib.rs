@@ -23,8 +23,8 @@ pub use experiments::{
 };
 pub use kernel::{Kernel, KernelBuilder};
 
-/// The observability substrate (crates/trace): per-boundary metrics,
-/// structured events, and the `oskit_trace` COM interface.
+/// The observability substrate (crates/trace): each machine's
+/// per-boundary counters.
 pub use oskit_trace as trace;
 
 /// Address Map Manager (§3.3).

@@ -1,7 +1,8 @@
 //! The COM export: `oskit_fault`, the fault-injection facility as a
 //! component.
 //!
-//! Like `oskit_trace` (IID `0xC0`), the injector is wrapped in
+//! The OSKit way to expose a service is an interface with its own IID,
+//! reachable by `query_interface`: the injector is wrapped in
 //! [`FaultObj`], registered with the component object registry under the
 //! name `"oskit_fault"`, and answers queries for [`Fault`]
 //! ([`FAULT_IID`], `oskit_iid(0xC1)`) — so a kernel that was handed

@@ -121,7 +121,7 @@ impl Machine {
     /// Advances the CPU clock by `ns` and books `kind` at `boundary`.
     fn charge(&self, boundary: BoundaryId, kind: EventKind, ns: Ns) {
         self.advance(ns);
-        self.tracer.record(boundary, kind, self.clock());
+        self.tracer.record(boundary, kind);
     }
 
     /// Charges a memory copy of `bytes` bytes at `boundary`: advances the
@@ -197,32 +197,14 @@ impl Machine {
         self.charge(boundary, EventKind::Poll { frames }, self.costs.poll_ns);
     }
 
-    /// Records a trace event at `boundary` without charging any work —
-    /// used for observations that have no cost-model price of their own
-    /// (allocations, sleeps, wakeups reported by the osenv).
-    pub fn trace_note(&self, boundary: BoundaryId, kind: EventKind) {
-        self.tracer.record(boundary, kind, self.clock());
-    }
-
-    /// Notes a buffer-cache hit at `boundary`.
-    ///
-    /// Bookkeeping only: a hit costs no device I/O and no copy, so the
-    /// clock is untouched — the whole point of the cache is that the
-    /// virtual-time price of the avoided `blkio` read never gets paid.
-    pub fn note_cache_hit_at(&self, boundary: BoundaryId) {
-        self.tracer.count(boundary, EventKind::CacheHit);
-    }
-
-    /// Notes a buffer-cache miss at `boundary` (the fill's device read is
+    /// Books `kind` at `boundary` without charging any work — for
+    /// observations that have no cost-model price of their own:
+    /// allocations, sleeps and wakeups reported by the osenv, and
+    /// buffer-cache hits, misses and evictions (a hit costs no device
+    /// I/O and no copy; a miss's fill and an eviction's write-back are
     /// charged by the backing `blkio` itself).
-    pub fn note_cache_miss_at(&self, boundary: BoundaryId) {
-        self.tracer.count(boundary, EventKind::CacheMiss);
-    }
-
-    /// Notes a buffer-cache eviction at `boundary` (any dirty write-back
-    /// is charged by the backing `blkio` itself).
-    pub fn note_cache_evict_at(&self, boundary: BoundaryId) {
-        self.tracer.count(boundary, EventKind::CacheEvict);
+    pub fn note_at(&self, boundary: BoundaryId, kind: EventKind) {
+        self.tracer.record(boundary, kind);
     }
 
     /// Opens a profiling span at `boundary`: until the returned guard is

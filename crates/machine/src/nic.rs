@@ -189,7 +189,7 @@ impl Nic {
 
     fn book_frame(&self, machine: &Machine, kind: EventKind) {
         if let Some(boundary) = self.frame_boundary.get() {
-            machine.tracer().count(boundary(), kind);
+            machine.note_at(boundary(), kind);
         }
     }
 

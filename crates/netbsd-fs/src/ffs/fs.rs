@@ -534,10 +534,6 @@ impl FsCore {
     /// Looks `name` up in directory `dino`.
     pub fn dir_lookup(&self, dino: u32, name: &str) -> Result<Option<u32>> {
         self.check_alive()?;
-        let d = self.read_inode(dino)?;
-        if !d.is_dir() {
-            return Err(Error::NotDir);
-        }
         let mut found = None;
         self.dir_scan(dino, |_, e| {
             if e.name == name {
@@ -639,20 +635,28 @@ impl FsCore {
         })
     }
 
+    /// Walks the directory's slots one block at a time, as `ufs_lookup`
+    /// does: one cache lookup per directory block, not one per slot.
     fn dir_scan_bytes(&self, dino: u32, mut f: impl FnMut(usize, &[u8]) -> bool) -> Result<()> {
-        let d = self.read_inode(dino)?;
+        let mut d = self.read_inode(dino)?;
         if !d.is_dir() {
             return Err(Error::NotDir);
         }
-        let nslots = (d.size / DIRENT_SIZE as u64) as usize;
-        let mut slot_buf = [0u8; DIRENT_SIZE];
-        for idx in 0..nslots {
-            let n = self.file_read(dino, &mut slot_buf, idx as u64 * DIRENT_SIZE as u64)?;
-            if n < DIRENT_SIZE {
-                break;
+        let mut block = [0u8; BLOCK_SIZE];
+        let mut idx = 0;
+        for (lbn, start) in (0..d.size).step_by(BLOCK_SIZE).enumerate() {
+            let len = (d.size - start).min(BLOCK_SIZE as u64) as usize;
+            match self.read_lbn(&mut d, lbn as u32)? {
+                None => block.fill(0),
+                Some(b) => {
+                    b.read(&mut block[..len], 0)?;
+                }
             }
-            if !f(idx, &slot_buf) {
-                break;
+            for slot in block[..len].chunks_exact(DIRENT_SIZE) {
+                if !f(idx, slot) {
+                    return Ok(());
+                }
+                idx += 1;
             }
         }
         Ok(())
@@ -876,6 +880,30 @@ mod tests {
             .map(|e| e.name)
             .collect();
         assert_eq!(names, [".", "..", "delta", "beta"]);
+    }
+
+    #[test]
+    fn dir_lookup_reads_a_directory_block_by_block() {
+        let fs = fresh_fs(1024);
+        for i in 0..100 {
+            let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
+            fs.dir_enter(ROOT_INO, &format!("f{i:03}"), ino).unwrap();
+        }
+        let dir_blocks = fs
+            .read_inode(ROOT_INO)
+            .unwrap()
+            .size
+            .div_ceil(BLOCK_SIZE as u64);
+        assert!(dir_blocks >= 2);
+        let (hits0, misses0) = fs.cache().stats();
+        assert!(fs.dir_lookup(ROOT_INO, "f099").unwrap().is_some());
+        let (hits1, misses1) = fs.cache().stats();
+        let lookups = (hits1 - hits0) + (misses1 - misses0);
+        // One lookup per directory block, plus the directory's inode.
+        assert!(
+            lookups <= dir_blocks + 1,
+            "{lookups} cache lookups for {dir_blocks} directory blocks"
+        );
     }
 
     #[test]

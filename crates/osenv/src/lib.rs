@@ -189,11 +189,8 @@ impl OsEnv {
     /// stderr log sink.
     pub fn new(machine: &Arc<Machine>) -> Arc<OsEnv> {
         // Environment construction is "boot" for the components above it:
-        // publish the trace and fault services and start counting COM
-        // dispatch here, so any assembled configuration is observable
-        // (and fault-scriptable) from the start.
-        oskit_trace::register_com_object();
-        oskit_trace::instrument_com_dispatch();
+        // publish the fault service here, so any assembled configuration
+        // is fault-scriptable from the start.
         oskit_fault::register_com_object();
         let mem_size = machine.phys.size();
         Arc::new(OsEnv {
@@ -236,7 +233,7 @@ impl OsEnv {
         }
         let got = self.mem.lock().alloc(size, align, flags);
         match got {
-            Some(_) => self.machine.trace_note(
+            Some(_) => self.machine.note_at(
                 boundary!("osenv", "mem"),
                 EventKind::Alloc { bytes: size as u64 },
             ),
@@ -248,7 +245,7 @@ impl OsEnv {
     /// Books one allocation failure: a trace event on the `osenv::mem`
     /// boundary plus a warning through the log sink.
     fn note_alloc_failure(&self, size: usize, flags: MemFlags) {
-        self.machine.trace_note(
+        self.machine.note_at(
             boundary!("osenv", "mem"),
             EventKind::AllocFailed { bytes: size as u64 },
         );
@@ -357,7 +354,7 @@ impl OsenvSleep {
     pub fn sleep(&self) {
         self.env
             .machine
-            .trace_note(boundary!("osenv", "sleep"), EventKind::Sleep);
+            .note_at(boundary!("osenv", "sleep"), EventKind::Sleep);
         self.rec.wait(self.env.sim());
     }
 
@@ -365,7 +362,7 @@ impl OsenvSleep {
     pub fn sleep_timeout(&self, timeout: Ns) -> WakeReason {
         self.env
             .machine
-            .trace_note(boundary!("osenv", "sleep"), EventKind::Sleep);
+            .note_at(boundary!("osenv", "sleep"), EventKind::Sleep);
         self.rec.wait_timeout(self.env.sim(), timeout)
     }
 
@@ -373,7 +370,7 @@ impl OsenvSleep {
     pub fn wakeup(&self) {
         self.env
             .machine
-            .trace_note(boundary!("osenv", "sleep"), EventKind::Wakeup);
+            .note_at(boundary!("osenv", "sleep"), EventKind::Wakeup);
         self.rec.signal(self.env.sim());
     }
 }

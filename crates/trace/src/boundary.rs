@@ -12,9 +12,8 @@ use std::sync::{Mutex, PoisonError};
 /// Maximum number of distinct boundaries a process may register.
 ///
 /// Per-boundary counters are vectors indexed by [`BoundaryId`], so this
-/// caps their footprint.  The whole OSKit tree registers 32 static
-/// boundaries plus one `com` seam per queried interface (~23); 128
-/// leaves headroom.
+/// caps their footprint.  The whole OSKit tree registers about 40
+/// static boundaries; 128 leaves headroom.
 pub const MAX_BOUNDARIES: usize = 128;
 
 /// A small dense handle to an interned (component, boundary-name) pair.
@@ -59,11 +58,6 @@ pub fn register_boundary(component: &'static str, name: &'static str) -> Boundar
     })
 }
 
-/// The (component, name) pair behind `id`.
-pub fn boundary_info(id: BoundaryId) -> (&'static str, &'static str) {
-    with_table(|t| t[id.index()])
-}
-
 /// Every registered (component, name) pair, in id order (ids are dense,
 /// so entry `i` is `BoundaryId(i)`).
 pub(crate) fn boundary_names() -> Vec<(&'static str, &'static str)> {
@@ -95,7 +89,7 @@ mod tests {
         let b = register_boundary("testcomp", "seam_b");
         assert_ne!(a, b);
         assert_eq!(a, register_boundary("testcomp", "seam_a"));
-        assert_eq!(boundary_info(a), ("testcomp", "seam_a"));
+        assert_eq!(boundary_names()[a.index()], ("testcomp", "seam_a"));
     }
 
     #[test]

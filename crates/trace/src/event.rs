@@ -1,13 +1,7 @@
-//! Structured trace events.
-//!
-//! Every event carries the [`BoundaryId`](crate::BoundaryId) of the glue
-//! seam it was observed at, the virtual timestamp of the machine's cost
-//! model at that moment, and a kind describing *what* crossed the seam.
+//! What a charge or note books at a boundary.
 
-use crate::boundary::BoundaryId;
-use std::fmt;
-
-/// What happened at a boundary.
+/// What happened at a boundary: each kind bumps one or two of the
+/// boundary's [`BoundaryMetrics`](crate::BoundaryMetrics) counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Control transferred across the boundary (a glue-code call).
@@ -70,53 +64,4 @@ pub enum EventKind {
     /// The NIC this boundary's driver services queued a frame on its
     /// receive ring.
     PacketReceived,
-}
-
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventKind::Crossing => write!(f, "crossing"),
-            EventKind::Copy { bytes } => write!(f, "copy({bytes}B)"),
-            EventKind::Alloc { bytes } => write!(f, "alloc({bytes}B)"),
-            EventKind::Sleep => write!(f, "sleep"),
-            EventKind::Wakeup => write!(f, "wakeup"),
-            EventKind::Irq => write!(f, "irq"),
-            EventKind::RxIrq => write!(f, "rx_irq"),
-            EventKind::Poll { frames } => write!(f, "poll({frames} frames)"),
-            EventKind::Gather { bytes } => write!(f, "gather({bytes}B)"),
-            EventKind::AllocFailed { bytes } => write!(f, "alloc_failed({bytes}B)"),
-            EventKind::CacheHit => write!(f, "cache_hit"),
-            EventKind::CacheMiss => write!(f, "cache_miss"),
-            EventKind::CacheEvict => write!(f, "cache_evict"),
-            EventKind::Layer => write!(f, "layer"),
-            EventKind::Checksum { bytes } => write!(f, "checksum({bytes}B)"),
-            EventKind::PacketSent => write!(f, "packet_sent"),
-            EventKind::PacketReceived => write!(f, "packet_received"),
-        }
-    }
-}
-
-/// One structured observation at a component boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Monotonic per-tracer sequence number (assigned at record time).
-    pub seq: u64,
-    /// Virtual timestamp, in nanoseconds of the machine's cost-model
-    /// clock, when the event was recorded.
-    pub vtime_ns: u64,
-    /// The boundary the event was observed at.
-    pub boundary: BoundaryId,
-    /// What happened.
-    pub kind: EventKind,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (component, name) = crate::boundary::boundary_info(self.boundary);
-        write!(
-            f,
-            "[{:>10}ns] #{:<5} {}::{} {}",
-            self.vtime_ns, self.seq, component, name, self.kind
-        )
-    }
 }

@@ -11,19 +11,12 @@
 //!   [`boundary!`] macro) — interned names for the glue seams between
 //!   components, e.g. `("linux-dev", "ether_tx")` where the FreeBSD
 //!   network stack hands a packet to the encapsulated Linux driver.
-//! * **Events** ([`TraceEvent`], [`EventKind`]) — structured
-//!   observations: crossings, copies (with byte counts), allocations,
-//!   sleeps, wakeups and IRQs, each stamped with the machine's
-//!   *virtual* cost-model timestamp.
+//! * **Event kinds** ([`EventKind`]) — what a charge books: crossings,
+//!   copies (with byte counts), allocations, sleeps, wakeups, IRQs and
+//!   so on.
 //! * **The tracer** ([`Tracer`]) — a cloneable handle to one ledger:
-//!   per-boundary counters ([`BoundaryMetrics`]) plus a flight recorder
-//!   holding the newest [`RECORDER_CAPACITY`] events (older ones are
-//!   overwritten and counted), all under one plain `Mutex`.
-//! * **The COM export** ([`Trace`], [`TraceObj`],
-//!   [`register_com_object`]) — the OSKit way of exposing a service:
-//!   an interface with its own IID (`oskit_iid(0xC0)`), reachable via
-//!   `query_interface` on an object published in the component
-//!   registry.
+//!   per-boundary counters ([`BoundaryMetrics`]) under one plain
+//!   `Mutex`.
 //!
 //! # Usage
 //!
@@ -32,8 +25,8 @@
 //!
 //! let tracer = Tracer::new();
 //! let seam = boundary!("freebsd-net", "rx_ether");
-//! tracer.record(seam, EventKind::Crossing, 1_000);
-//! tracer.record(seam, EventKind::Copy { bytes: 1460 }, 2_500);
+//! tracer.record(seam, EventKind::Crossing);
+//! tracer.record(seam, EventKind::Copy { bytes: 1460 });
 //!
 //! let report = tracer.metrics();
 //! let m = report.get("freebsd-net", "rx_ether").unwrap();
@@ -49,15 +42,11 @@
 #![warn(missing_docs)]
 
 mod boundary;
-mod com;
 mod event;
-mod ring;
 mod tracer;
 
-pub use boundary::{boundary_info, register_boundary, BoundaryId, MAX_BOUNDARIES};
-pub use com::{global, instrument_com_dispatch, register_com_object, Trace, TraceObj, TRACE_IID};
-pub use event::{EventKind, TraceEvent};
-pub use ring::RECORDER_CAPACITY;
+pub use boundary::{register_boundary, BoundaryId, MAX_BOUNDARIES};
+pub use event::EventKind;
 pub use tracer::{BoundaryMetrics, TraceReport, Tracer};
 
 #[cfg(test)]
@@ -65,39 +54,51 @@ mod tests {
     mod enabled {
         use crate::*;
 
+        /// Each event kind bumps exactly the counters listed for it.
         #[test]
-        fn counters_and_ring_agree() {
-            let t = Tracer::new();
-            let a = crate::boundary!("en", "seam_a");
-            let b = crate::boundary!("en", "seam_b");
-            t.record(a, EventKind::Crossing, 1);
-            t.record(a, EventKind::Copy { bytes: 100 }, 2);
-            t.record(b, EventKind::Sleep, 3);
-            t.record(b, EventKind::Wakeup, 4);
-            t.record(b, EventKind::Irq, 5);
-            t.record(b, EventKind::Alloc { bytes: 32 }, 6);
-
-            let r = t.metrics();
-            let ma = r.get("en", "seam_a").unwrap();
-            assert_eq!((ma.crossings, ma.copies, ma.bytes_copied), (1, 1, 100));
-            let mb = r.get("en", "seam_b").unwrap();
-            assert_eq!(
-                (
-                    mb.sleeps,
-                    mb.wakeups,
-                    mb.irqs,
-                    mb.allocs,
-                    mb.bytes_allocated
-                ),
-                (1, 1, 1, 1, 32)
-            );
-
-            let events = t.drain_events();
-            assert_eq!(events.len(), 6);
-            // Sequence numbers are dense and vtime is preserved.
-            for (i, ev) in events.iter().enumerate() {
-                assert_eq!(ev.seq, i as u64);
-                assert_eq!(ev.vtime_ns, i as u64 + 1);
+        fn counters_follow_event_kinds() {
+            type Bump = fn(&mut BoundaryMetrics);
+            let table: [(EventKind, Bump); 17] = [
+                (EventKind::Crossing, |m| m.crossings = 1),
+                (EventKind::Copy { bytes: 100 }, |m| {
+                    (m.copies, m.bytes_copied) = (1, 100)
+                }),
+                (EventKind::Alloc { bytes: 32 }, |m| {
+                    (m.allocs, m.bytes_allocated) = (1, 32)
+                }),
+                (EventKind::Sleep, |m| m.sleeps = 1),
+                (EventKind::Wakeup, |m| m.wakeups = 1),
+                (EventKind::Irq, |m| m.irqs = 1),
+                (EventKind::RxIrq, |m| (m.irqs, m.rx_irqs) = (1, 1)),
+                (EventKind::Poll { frames: 7 }, |m| {
+                    (m.polls, m.poll_frames) = (1, 7)
+                }),
+                (EventKind::Gather { bytes: 1500 }, |m| {
+                    (m.gathers, m.bytes_gathered) = (1, 1500)
+                }),
+                (EventKind::AllocFailed { bytes: 64 }, |m| m.alloc_failed = 1),
+                (EventKind::CacheHit, |m| m.cache_hits = 1),
+                (EventKind::CacheMiss, |m| m.cache_misses = 1),
+                (EventKind::CacheEvict, |m| m.cache_evictions = 1),
+                (EventKind::Layer, |m| m.layers = 1),
+                (EventKind::Checksum { bytes: 40 }, |m| {
+                    (m.checksums, m.bytes_checksummed) = (1, 40)
+                }),
+                (EventKind::PacketSent, |m| m.packets_sent = 1),
+                (EventKind::PacketReceived, |m| m.packets_received = 1),
+            ];
+            let seam = crate::boundary!("en", "kind_seam");
+            for (kind, bump) in table {
+                let t = Tracer::new();
+                t.record(seam, kind);
+                let mut want = BoundaryMetrics {
+                    component: "en",
+                    name: "kind_seam",
+                    ..BoundaryMetrics::default()
+                };
+                bump(&mut want);
+                let got = *t.metrics().get("en", "kind_seam").unwrap();
+                assert_eq!(got, want, "{kind:?}");
             }
         }
 
@@ -115,8 +116,8 @@ mod tests {
                 .map(|_| {
                     let t = t.clone();
                     std::thread::spawn(move || {
-                        for i in 0..PER_WRITER {
-                            t.record(seam, EventKind::Copy { bytes: 10 }, i);
+                        for _ in 0..PER_WRITER {
+                            t.record(seam, EventKind::Copy { bytes: 10 });
                         }
                     })
                 })
@@ -139,24 +140,15 @@ mod tests {
             let m = *t.metrics().get("en", "concurrent_seam").unwrap();
             assert_eq!(m.copies, WRITERS as u64 * PER_WRITER);
             assert_eq!(m.bytes_copied, WRITERS as u64 * PER_WRITER * 10);
-            // Recorder accounting is conservative: drained + overwritten
-            // = recorded.
-            assert_eq!(
-                t.drain_events().len() as u64 + t.overwritten(),
-                WRITERS as u64 * PER_WRITER
-            );
         }
 
         #[test]
         fn clear_resets_everything() {
             let t = Tracer::new();
             let seam = crate::boundary!("en", "clear_seam");
-            for i in 0..RECORDER_CAPACITY as u64 + 6 {
-                t.record(seam, EventKind::Crossing, i);
-            }
-            assert!(t.overwritten() > 0);
+            t.record(seam, EventKind::Crossing);
+            t.add_vtime(seam, 5);
             t.clear();
-            assert!(t.drain_events().is_empty());
             assert!(t.metrics().get("en", "clear_seam").unwrap().is_zero());
         }
 
@@ -165,7 +157,7 @@ mod tests {
             let t = Tracer::new();
             let t2 = t.clone();
             let seam = crate::boundary!("en", "shared_seam");
-            t.record(seam, EventKind::Crossing, 0);
+            t.record(seam, EventKind::Crossing);
             assert_eq!(t2.metrics().get("en", "shared_seam").unwrap().crossings, 1);
         }
 
@@ -173,7 +165,7 @@ mod tests {
         fn report_display_renders_rows() {
             let t = Tracer::new();
             let seam = crate::boundary!("en", "display_seam");
-            t.record(seam, EventKind::Copy { bytes: 7 }, 0);
+            t.record(seam, EventKind::Copy { bytes: 7 });
             let text = t.metrics().to_string();
             assert!(text.contains("en::display_seam"));
             assert!(text.contains("boundary"));
@@ -186,8 +178,8 @@ mod tests {
             let alpha = register_boundary("order", "alpha");
             assert!(zeta < alpha);
             let t = Tracer::new();
-            t.record(zeta, EventKind::Crossing, 0);
-            t.record(alpha, EventKind::Copy { bytes: 3 }, 0);
+            t.record(zeta, EventKind::Crossing);
+            t.record(alpha, EventKind::Copy { bytes: 3 });
             let rows: Vec<_> = t
                 .metrics()
                 .nonzero()
@@ -203,28 +195,6 @@ mod tests {
             let backward: TraceReport = report.boundaries.iter().rev().copied().collect();
             assert_eq!(forward.to_string(), backward.to_string());
             assert_eq!(forward.to_string(), report.to_string());
-        }
-    }
-
-    mod proptests {
-        use crate::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The flight recorder keeps exactly the newest events, in
-            /// order, and counts every one it overwrote.
-            #[test]
-            fn recorder_keeps_the_newest(n in 0u64..3 * RECORDER_CAPACITY as u64) {
-                let t = Tracer::new();
-                let seam = crate::boundary!("en", "recorder_seam");
-                for i in 0..n {
-                    t.record(seam, EventKind::Crossing, i);
-                }
-                let kept = n.min(RECORDER_CAPACITY as u64);
-                let seqs: Vec<u64> = t.drain_events().iter().map(|e| e.seq).collect();
-                prop_assert!(seqs.iter().copied().eq(n - kept..n));
-                prop_assert_eq!(t.overwritten(), n.saturating_sub(RECORDER_CAPACITY as u64));
-            }
         }
     }
 }

@@ -1,9 +1,8 @@
 //! The per-machine tracer: the per-boundary counters that are the
-//! machine's only ledger, plus the flight recorder, under one lock.
+//! machine's only ledger, under one lock.
 
 use crate::boundary::{boundary_names, BoundaryId};
-use crate::event::{EventKind, TraceEvent};
-use crate::ring::FlightRecorder;
+use crate::event::EventKind;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -205,84 +204,65 @@ impl fmt::Display for TraceReport {
     }
 }
 
-/// Everything a tracer guards with its one lock.
-#[derive(Default)]
-struct Ledger {
-    /// Counters indexed by [`BoundaryId::index`], grown on first use.
-    boundaries: Vec<BoundaryMetrics>,
-    recorder: FlightRecorder,
-}
-
-impl Ledger {
-    fn at(&mut self, boundary: BoundaryId) -> &mut BoundaryMetrics {
-        let i = boundary.index();
-        if i >= self.boundaries.len() {
-            self.boundaries.resize(i + 1, BoundaryMetrics::default());
-        }
-        &mut self.boundaries[i]
-    }
-}
-
 /// A cloneable handle to one tracing domain (normally: one simulated
 /// machine).
 ///
-/// Clones share one ledger: the per-boundary counters and the flight
-/// recorder, behind a single `Mutex`.  The lock is a leaf — nothing is
-/// called while it is held — so a snapshot is consistent across every
-/// counter, and under the simulator's run token it is never contended.
+/// Clones share one ledger: the per-boundary counters, indexed by
+/// [`BoundaryId::index`] and grown on first use, behind a single
+/// `Mutex`.  The lock is a leaf — nothing is called while it is held —
+/// so a snapshot is consistent across every counter, and under the
+/// simulator's run token it is never contended.
 ///
 /// ```
 /// use oskit_trace::{boundary, EventKind, Tracer};
 /// let t = Tracer::new();
-/// t.record(boundary!("doc", "seam"), EventKind::Copy { bytes: 64 }, 10);
+/// t.record(boundary!("doc", "seam"), EventKind::Copy { bytes: 64 });
 /// let report = t.metrics();
 /// assert_eq!(report.get("doc", "seam").unwrap().bytes_copied, 64);
 /// ```
 #[derive(Clone, Default)]
 pub struct Tracer {
-    ledger: Arc<Mutex<Ledger>>,
+    counters: Arc<Mutex<Vec<BoundaryMetrics>>>,
 }
 
 impl Tracer {
-    /// Creates a tracer with all counters zero and no events recorded.
+    /// Creates a tracer with all counters zero.
     pub fn new() -> Tracer {
         Tracer::default()
     }
 
-    /// Every update under the lock is one whole counter bump or event
-    /// push, so the ledger stays valid even if a holder panicked.
-    fn ledger(&self) -> MutexGuard<'_, Ledger> {
-        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Every update under the lock is one whole counter bump, so the
+    /// counters stay valid even if a holder panicked.
+    fn counters(&self) -> MutexGuard<'_, Vec<BoundaryMetrics>> {
+        self.counters.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records a full structured event: bumps the boundary's counters
-    /// and appends to the flight recorder (overwriting, and counting, its
-    /// oldest event when full).
-    pub fn record(&self, boundary: BoundaryId, kind: EventKind, vtime_ns: u64) {
-        let mut ledger = self.ledger();
-        ledger.at(boundary).add(kind);
-        ledger.recorder.record(boundary, kind, vtime_ns);
+    /// Runs `f` on `boundary`'s counters under the lock.
+    fn at(&self, boundary: BoundaryId, f: impl FnOnce(&mut BoundaryMetrics)) {
+        let mut counters = self.counters();
+        let i = boundary.index();
+        if i >= counters.len() {
+            counters.resize(i + 1, BoundaryMetrics::default());
+        }
+        f(&mut counters[i]);
     }
 
-    /// Bumps the boundary's counters without emitting a recorder event.
-    ///
-    /// Used on paths too hot (or too global) for per-event storage,
-    /// e.g. COM interface dispatch.
-    pub fn count(&self, boundary: BoundaryId, kind: EventKind) {
-        self.ledger().at(boundary).add(kind);
+    /// Books `kind` at `boundary`: bumps the boundary's counters.
+    pub fn record(&self, boundary: BoundaryId, kind: EventKind) {
+        self.at(boundary, |m| m.add(kind));
     }
 
     /// Attributes `ns` of virtual time to `boundary` (reported by span
     /// guards when they close).
     pub fn add_vtime(&self, boundary: BoundaryId, ns: u64) {
-        self.ledger().at(boundary).vtime_ns += ns;
+        self.at(boundary, |m| m.vtime_ns += ns);
     }
 
     /// Snapshots every registered boundary's counters, consistently:
     /// no event is half-counted in the result.
     pub fn metrics(&self) -> TraceReport {
         let names = boundary_names();
-        let counts = self.ledger().boundaries.clone();
+        let counts = self.counters().clone();
         names
             .into_iter()
             .enumerate()
@@ -294,19 +274,9 @@ impl Tracer {
             .collect()
     }
 
-    /// Removes and returns the flight recorder's events, oldest first.
-    pub fn drain_events(&self) -> Vec<TraceEvent> {
-        self.ledger().recorder.drain()
-    }
-
-    /// Number of events the flight recorder overwrote to make room.
-    pub fn overwritten(&self) -> u64 {
-        self.ledger().recorder.overwritten()
-    }
-
-    /// Resets every counter and empties the flight recorder.
+    /// Resets every counter.
     pub fn clear(&self) {
-        *self.ledger() = Ledger::default();
+        self.counters().clear();
     }
 }
 

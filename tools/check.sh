@@ -14,8 +14,9 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> cargo fmt --check (workspace; perfbench/ is its own workspace)"
+echo "==> cargo fmt --check (workspace, then perfbench/, its own workspace)"
 cargo fmt --check
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q (workspace)"
 cargo test -q
@@ -39,8 +40,9 @@ if [ "$soak_a" != "$soak_b" ]; then
     exit 1
 fi
 
-echo "==> cargo clippy --workspace --all-targets (warnings denied)"
+echo "==> cargo clippy --workspace --all-targets (warnings denied), then perfbench"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 if [ "$fast" -eq 0 ]; then
     echo "==> cargo build --release (workspace)"
