@@ -67,15 +67,15 @@ fn main() {
         "OSKit send is measurably below FreeBSD (extra mbuf→skbuff copy)",
         oskit_send < bsd_send * 0.9,
     );
-    let (_, s, _) = &rows[2];
+    let s = rows[2].1.sender.total();
     println!(
         "\nmechanics: OSKit sender copied {} B ({} copies, {} crossings);",
-        s.sender.bytes_copied, s.sender.copies, s.sender.crossings
+        s.bytes_copied, s.copies, s.crossings
     );
-    let (_, s, _) = &rows[1];
+    let s = rows[1].1.sender.total();
     println!(
         "           FreeBSD sender copied {} B ({} copies, {} crossings).",
-        s.sender.bytes_copied, s.sender.copies, s.sender.crossings
+        s.bytes_copied, s.copies, s.crossings
     );
 
     if sg {
@@ -105,24 +105,25 @@ fn main() {
             "SG send recovers the copy penalty (>= 90 Mbit/s)",
             send.mbit_s >= 90.0,
         );
+        let s = send.sender.total();
         check(
             "SG sender gathers fragments instead of copying them",
-            send.sender.gathers > 0 && send.sender.bytes_gathered >= send.bytes,
+            s.gathers > 0 && s.bytes_gathered >= send.bytes,
         );
         println!(
             "  mechanics: SG sender copied {} B, gathered {} B ({} gathers).",
-            send.sender.bytes_copied, send.sender.bytes_gathered, send.sender.gathers
+            s.bytes_copied, s.bytes_gathered, s.gathers
         );
         check(
             "zero bytes copied at linux-dev::ether_tx under SG",
-            send.sender_boundaries
+            send.sender
                 .get("linux-dev", "ether_tx")
                 .map(|b| b.bytes_copied == 0 && b.gathers > 0)
                 .unwrap_or(false),
         );
         if boundaries {
             println!("\nper-boundary breakdown (OSKit SG sender, send path):");
-            print!("{}", send.sender_boundaries);
+            print!("{}", send.sender);
         }
     }
 
@@ -149,11 +150,12 @@ fn main() {
             send.mbit_s,
             recv.mbit_s
         );
-        let base = &rows[2].2.receiver; // Default OSKit, receive run.
-        let frames = recv.receiver.packets_received;
+        let base = rows[2].2.receiver.total(); // Default OSKit, receive run.
+        let r = recv.receiver.total();
+        let frames = r.packets_received;
         check(
             "receive IRQ count cut >= 4x at full burst",
-            recv.receiver.rx_irqs > 0 && base.rx_irqs >= 4 * recv.receiver.rx_irqs,
+            r.rx_irqs > 0 && base.rx_irqs >= 4 * r.rx_irqs,
         );
         // "No worse" with a 0.5% allowance: the handful of slow-start
         // and tail-of-transfer pauses each pay the 150 µs packet-timer
@@ -165,14 +167,14 @@ fn main() {
         );
         check(
             "every received frame came up through a budgeted poll",
-            recv.receiver.rx_polls > 0 && recv.receiver.rx_batch_frames == frames,
+            r.polls > 0 && r.poll_frames == frames,
         );
         println!(
             "  mechanics: NAPI receiver took {} rx IRQs for {} frames ({} polls, avg batch {:.1});",
-            recv.receiver.rx_irqs,
+            r.rx_irqs,
             frames,
-            recv.receiver.rx_polls,
-            recv.receiver.rx_batch_frames as f64 / recv.receiver.rx_polls.max(1) as f64
+            r.polls,
+            r.poll_frames as f64 / r.polls.max(1) as f64
         );
         println!(
             "             default OSKit receiver took {} rx IRQs for {} frames.",
@@ -180,7 +182,7 @@ fn main() {
         );
         if boundaries {
             println!("\nper-boundary breakdown (OSKit NAPI receiver, receive path):");
-            print!("{}", recv.receiver_boundaries);
+            print!("{}", recv.receiver);
         }
     }
 
@@ -198,14 +200,14 @@ fn main() {
             send.mbit_s,
             recv.mbit_s
         );
+        let (s, r) = (send.sender.total(), recv.receiver.total());
         check(
             "stacked sender still gathers instead of copying",
-            send.sender.gathers > 0 && send.sender.bytes_gathered >= send.bytes,
+            s.gathers > 0 && s.bytes_gathered >= send.bytes,
         );
         check(
             "stacked receiver still drains the ring with budgeted polls",
-            recv.receiver.rx_polls > 0
-                && recv.receiver.rx_batch_frames == recv.receiver.packets_received,
+            r.polls > 0 && r.poll_frames == r.packets_received,
         );
         check(
             "stacking loses nothing: send >= SG-only shape, recv >= NAPI-only shape (1%)",
@@ -273,11 +275,11 @@ fn main() {
     if boundaries {
         let (_, send, recv) = &rows[2];
         println!("\nper-boundary breakdown (OSKit sender, send path):");
-        print!("{}", send.sender_boundaries);
+        print!("{}", send.sender);
         println!("\nper-boundary breakdown (OSKit receiver, receive path):");
-        print!("{}", recv.receiver_boundaries);
+        print!("{}", recv.receiver);
         let tx_copied = send
-            .sender_boundaries
+            .sender
             .get("linux-dev", "ether_tx")
             .map(|b| b.bytes_copied)
             .unwrap_or(0);
@@ -289,9 +291,9 @@ fn main() {
             "receive path copied zero extra bytes at every boundary",
             // Only the donor stack's own sockbuf copy (mbuf→user, paid by
             // native FreeBSD too) moves bytes; every glue seam is zero.
-            recv.receiver_boundaries.nonzero().all(|b| {
+            recv.receiver.nonzero().all(|b| {
                 b.bytes_copied == 0 || (b.component, b.name) == ("freebsd-net", "sockbuf")
-            }) && recv.receiver.bytes_copied == rows[1].2.receiver.bytes_copied,
+            }) && recv.receiver.total().bytes_copied == rows[1].2.receiver.total().bytes_copied,
         );
     }
     exit_on_failed_checks();

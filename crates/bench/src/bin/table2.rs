@@ -40,14 +40,14 @@ fn main() {
             "{:10} {:>10.1} {:>16.1} {:>12.1}",
             cfg.name(),
             r.rtt_us,
-            r.client.crossings as f64 / round_trips as f64,
-            r.client.copies as f64 / round_trips as f64
+            r.client.total().crossings as f64 / round_trips as f64,
+            r.client.total().copies as f64 / round_trips as f64
         );
         if cfg == NetConfig::freebsd() {
             bsd = r.rtt_us;
         } else if cfg == NetConfig::oskit() {
             oskit = r.rtt_us;
-            oskit_breakdown = Some(r.client_boundaries.clone());
+            oskit_breakdown = Some(r.client.clone());
         }
     }
     if boundaries {
@@ -75,8 +75,8 @@ fn main() {
             "{:18} {:>10.1} {:>16.1} {:>12.1}",
             NetConfig::oskit().napi(true).name(),
             r.rtt_us,
-            r.client.crossings as f64 / round_trips as f64,
-            r.client.copies as f64 / round_trips as f64
+            r.client.total().crossings as f64 / round_trips as f64,
+            r.client.total().copies as f64 / round_trips as f64
         );
         let delta = r.rtt_us - oskit;
         println!(
@@ -100,8 +100,8 @@ fn main() {
             "{:18} {:>10.1} {:>16.1} {:>12.1}",
             cfg.name(),
             r.rtt_us,
-            r.client.crossings as f64 / round_trips as f64,
-            r.client.copies as f64 / round_trips as f64
+            r.client.total().crossings as f64 / round_trips as f64,
+            r.client.total().copies as f64 / round_trips as f64
         );
         if !napi {
             let delta = (r.rtt_us - oskit).abs();

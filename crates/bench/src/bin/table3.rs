@@ -23,7 +23,7 @@
 //! prints the full breakdown.  The process exits non-zero if any shape
 //! check prints `[FAIL]`.
 
-use oskit::{fileserve_run, FileServeResult, ServeMode};
+use oskit::{fileserve_run, ServeMode};
 use oskit_bench::{check, exit_on_failed_checks};
 
 fn main() {
@@ -42,25 +42,26 @@ fn main() {
         "{:14} {:>8} {:>12} {:>12} {:>8} {:>8}",
         "", "Mbit/s", "copied B", "gathered B", "hits", "misses"
     );
-    let mut rows = Vec::new();
-    for mode in [
+    let rows = [
         ServeMode::ColdCopy,
         ServeMode::WarmCopy,
         ServeMode::Sendfile,
-    ] {
+    ]
+    .map(|mode| {
         let r = fileserve_run(mode, kib);
+        let s = r.server.total();
         println!(
             "{:14} {:>8.2} {:>12} {:>12} {:>8} {:>8}",
             mode.name(),
             r.mbit_s,
-            r.server.bytes_copied,
-            r.server.bytes_gathered,
-            r.server.cache_hits,
-            r.server.cache_misses
+            s.bytes_copied,
+            s.bytes_gathered,
+            s.cache_hits,
+            s.cache_misses
         );
-        rows.push(r);
-    }
-    let (cold, warm, sendfile) = (&rows[0], &rows[1], &rows[2]);
+        (r, s)
+    });
+    let [(cold, cold_s), (warm, warm_s), (sendfile, sendfile_s)] = &rows;
 
     println!("\nshape checks:");
     check(
@@ -73,42 +74,38 @@ fn main() {
     );
     check(
         "cold run misses in the cache; warm runs hit",
-        cold.server.cache_misses > 0
-            && warm.server.cache_misses == 0
-            && sendfile.server.cache_misses == 0,
+        cold_s.cache_misses > 0 && warm_s.cache_misses == 0 && sendfile_s.cache_misses == 0,
     );
     check(
         "sendfile converts the copy work into gather work",
-        sendfile.server.bytes_gathered >= sendfile.bytes
-            && sendfile.server.bytes_copied < warm.server.bytes_copied / 4,
+        sendfile_s.bytes_gathered >= sendfile.bytes
+            && sendfile_s.bytes_copied < warm_s.bytes_copied / 4,
     );
     check(
         "copy rows moved every payload byte at least twice",
-        warm.server.bytes_copied >= 2 * warm.bytes,
+        warm_s.bytes_copied >= 2 * warm.bytes,
     );
-
-    fn at<'a>(
-        r: &'a FileServeResult,
-        c: &str,
-        b: &str,
-    ) -> Option<&'a oskit::machine::BoundaryMetrics> {
-        r.server_boundaries.get(c, b)
-    }
     check(
         "0 bytes copied at freebsd-net::sockbuf on the sendfile path",
-        at(sendfile, "freebsd-net", "sockbuf")
+        sendfile
+            .server
+            .get("freebsd-net", "sockbuf")
             .map(|b| b.bytes_copied == 0 && b.bytes_gathered >= sendfile.bytes)
             .unwrap_or(false),
     );
     check(
         "0 bytes copied at linux-dev::ether_tx on the sendfile path",
-        at(sendfile, "linux-dev", "ether_tx")
+        sendfile
+            .server
+            .get("linux-dev", "ether_tx")
             .map(|b| b.bytes_copied == 0 && b.gathers > 0)
             .unwrap_or(false),
     );
     check(
         "0 bytes copied at netbsd-fs::fs_read on the sendfile path",
-        at(sendfile, "netbsd-fs", "fs_read")
+        sendfile
+            .server
+            .get("netbsd-fs", "fs_read")
             .map(|b| b.bytes_copied == 0)
             .unwrap_or(true),
     );
@@ -122,16 +119,17 @@ fn main() {
         .iter()
         .all(|s| {
             let (c, b) = s.split_once("::").unwrap();
-            at(warm, c, b)
+            warm.server
+                .get(c, b)
                 .map(|x| x.bytes_copied >= warm.bytes)
                 .unwrap_or(false)
         }),
     );
     if boundaries {
         println!("\nper-boundary breakdown (warm copy server):");
-        print!("{}", warm.server_boundaries);
+        print!("{}", warm.server);
         println!("\nper-boundary breakdown (sendfile server):");
-        print!("{}", sendfile.server_boundaries);
+        print!("{}", sendfile.server);
     }
     exit_on_failed_checks();
 }

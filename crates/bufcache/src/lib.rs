@@ -1,6 +1,6 @@
 //! `oskit-bufcache` — a shared buffer cache over `oskit_blkio`.
 //!
-//! The BSD `getblk`/`bread`/`brelse` idiom, packaged as an OSKit
+//! The BSD `getblk`/`bread` idiom, packaged as an OSKit
 //! component: the cache sits on top of *any* [`BlkIo`] (an encapsulated
 //! disk driver, a RAM disk, a partition view) and hands out cached
 //! blocks that are themselves first-class COM buffer objects.  Each
@@ -14,9 +14,9 @@
 //! see `EXPERIMENTS.md` (table3).
 //!
 //! Pinning is refcount-based, matching Rust idiom rather than C's
-//! explicit `brelse`: a block is pinned while any handle to it is held
-//! (`Arc::strong_count > 1`) or while a driver has it wired for DMA
-//! ([`BufIo::wire`]).  Dropping the handle *is* `brelse`.  Eviction is
+//! explicit release call: a block is pinned while any handle to it is
+//! held (`Arc::strong_count > 1`) or while a driver has it wired for DMA
+//! ([`BufIo::wire`]).  Dropping the handle releases it.  Eviction is
 //! LRU over the unpinned blocks only, with dirty victims written back
 //! first; a write-back failure re-inserts the block rather than losing
 //! data.
@@ -203,7 +203,7 @@ struct CacheState {
 ///
 /// All blocks are `block_size` bytes; at most `max_blocks` stay resident
 /// (pinned blocks are never evicted, so the cache may transiently exceed
-/// the budget while handles are outstanding).  `brelse` is implicit:
+/// the budget while handles are outstanding).  Release is implicit:
 /// dropping the returned [`CachedBlock`] handle releases the pin.
 pub struct BufCache {
     dev: Arc<dyn BlkIo>,
@@ -310,7 +310,7 @@ impl BufCache {
 
     /// `bread`: returns the cached block for `blkno`, filling it from the
     /// backing device on a miss.  The returned handle pins the block
-    /// until dropped (`brelse`).  A cluster read of a one-block run.
+    /// until dropped.  A cluster read of a one-block run.
     pub fn bread(&self, blkno: u32) -> Result<Arc<CachedBlock>> {
         self.cluster_read(blkno, 1)
     }
@@ -345,12 +345,6 @@ impl BufCache {
             return b;
         }
         self.install(blkno, vec![0; self.block_size])
-    }
-
-    /// `brelse`: explicit release for readers who want the BSD name.
-    /// Dropping the handle does exactly the same thing.
-    pub fn brelse(block: Arc<CachedBlock>) {
-        drop(block);
     }
 
     fn lookup(&self, blkno: u32) -> Option<Arc<CachedBlock>> {

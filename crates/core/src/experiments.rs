@@ -16,7 +16,7 @@ use oskit_com::Query;
 use oskit_freebsd_net::{attach_native_if, ifconfig, open_ether_if, oskit_freebsd_net_init};
 use oskit_linux_dev::linux::inet::LinuxInet;
 use oskit_linux_dev::{LinuxEtherDev, NetDevice};
-use oskit_machine::{FaultPlan, FaultSnapshot, Machine, Nic, Sim, TraceReport, WorkSnapshot};
+use oskit_machine::{FaultPlan, FaultSnapshot, Machine, Nic, Sim, TraceReport};
 use oskit_osenv::OsEnv;
 use parking_lot::Mutex;
 use std::net::Ipv4Addr;
@@ -144,14 +144,10 @@ pub struct TtcpResult {
     pub elapsed_ns: u64,
     /// Throughput in Mbit/s of virtual time.
     pub mbit_s: f64,
-    /// Sender-machine work counters.
-    pub sender: WorkSnapshot,
-    /// Receiver-machine work counters.
-    pub receiver: WorkSnapshot,
-    /// Per-boundary breakdown of `sender`.
-    pub sender_boundaries: TraceReport,
-    /// Per-boundary breakdown of `receiver`.
-    pub receiver_boundaries: TraceReport,
+    /// The sender machine's ledger, per boundary; `total()` sums it.
+    pub sender: TraceReport,
+    /// The receiver machine's ledger.
+    pub receiver: TraceReport,
     /// Sender-machine fault ledger (all-zero unless a plan was installed
     /// via [`ttcp_run_faulted`]).
     pub sender_faults: FaultSnapshot,
@@ -166,14 +162,10 @@ pub struct RtcpResult {
     pub round_trips: u64,
     /// Mean round-trip time in microseconds of virtual time.
     pub rtt_us: f64,
-    /// Client-machine work counters.
-    pub client: WorkSnapshot,
-    /// Server-machine work counters.
-    pub server: WorkSnapshot,
-    /// Per-boundary breakdown of `client`.
-    pub client_boundaries: TraceReport,
-    /// Per-boundary breakdown of `server`.
-    pub server_boundaries: TraceReport,
+    /// The client machine's ledger, per boundary; `total()` sums it.
+    pub client: TraceReport,
+    /// The server machine's ledger.
+    pub server: TraceReport,
 }
 
 /// An abstract connected byte pipe: lets one driver routine run over all
@@ -396,10 +388,8 @@ pub fn ttcp_run_faulted(
         bytes: total as u64,
         elapsed_ns: elapsed,
         mbit_s: total as f64 * 8.0 / (elapsed as f64 / 1e9) / 1e6,
-        sender: tb.machine_a.work(),
-        receiver: tb.machine_b.work(),
-        sender_boundaries: tb.machine_a.tracer().metrics(),
-        receiver_boundaries: tb.machine_b.tracer().metrics(),
+        sender: tb.machine_a.tracer().metrics(),
+        receiver: tb.machine_b.tracer().metrics(),
         sender_faults: tb.machine_a.faults().stats(),
         receiver_faults: tb.machine_b.faults().stats(),
     }
@@ -442,10 +432,8 @@ pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
     RtcpResult {
         round_trips: round_trips as u64,
         rtt_us: total_ns as f64 / round_trips as f64 / 1000.0,
-        client: tb.machine_a.work(),
-        server: tb.machine_b.work(),
-        client_boundaries: tb.machine_a.tracer().metrics(),
-        server_boundaries: tb.machine_b.tracer().metrics(),
+        client: tb.machine_a.tracer().metrics(),
+        server: tb.machine_b.tracer().metrics(),
     }
 }
 
@@ -482,13 +470,11 @@ pub struct FileServeResult {
     pub elapsed_ns: u64,
     /// Throughput in Mbit/s of virtual time.
     pub mbit_s: f64,
-    /// Server-machine work counters, reset after volume prep and
-    /// warm-up so they cover exactly the measured transfer.
-    pub server: WorkSnapshot,
-    /// Client-machine work counters (not reset; includes connect).
-    pub client: WorkSnapshot,
-    /// Per-boundary breakdown of `server`.
-    pub server_boundaries: TraceReport,
+    /// The server machine's ledger, per boundary, reset after volume
+    /// prep and warm-up so it covers exactly the measured transfer.
+    pub server: TraceReport,
+    /// The client machine's ledger (not reset; includes connect).
+    pub client: TraceReport,
 }
 
 /// Serves one `kib`-KiB file from an FFS volume on a simulated IDE disk
@@ -655,9 +641,8 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         bytes,
         elapsed_ns,
         mbit_s: bytes as f64 * 8.0 / (elapsed_ns as f64 / 1e9) / 1e6,
-        server: ms.work(),
-        client: mc.work(),
-        server_boundaries: ms.tracer().metrics(),
+        server: ms.tracer().metrics(),
+        client: mc.tracer().metrics(),
     }
 }
 
@@ -678,11 +663,13 @@ mod tests {
             assert!(r.mbit_s < 100.0, "faster than the wire: {:?}", r);
         }
         // The OSKit send path pays an extra copy per packet vs FreeBSD.
+        let (oskit_copied, bsd_copied) = (
+            oskit.sender.total().bytes_copied,
+            bsd.sender.total().bytes_copied,
+        );
         assert!(
-            oskit.sender.bytes_copied > bsd.sender.bytes_copied,
-            "oskit sender should copy more: {} vs {}",
-            oskit.sender.bytes_copied,
-            bsd.sender.bytes_copied
+            oskit_copied > bsd_copied,
+            "oskit sender should copy more: {oskit_copied} vs {bsd_copied}"
         );
         // OSKit throughput does not exceed FreeBSD's.
         assert!(oskit.mbit_s <= bsd.mbit_s * 1.01);
@@ -695,7 +682,7 @@ mod tests {
         // mbuf chain is handed to the Linux driver — books precisely on
         // the linux-dev ether_tx boundary.
         let tx = oskit
-            .sender_boundaries
+            .sender
             .get("linux-dev", "ether_tx")
             .expect("ether_tx boundary present");
         assert!(tx.copies > 0, "send-path copies must land on ether_tx");
@@ -708,7 +695,7 @@ mod tests {
         // data").  The only copying boundary is the donor stack's own
         // sockbuf uiomove — the mbuf→user copy native FreeBSD pays too.
         let rx = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::oskit(), 64, 4096);
-        for b in rx.receiver_boundaries.nonzero() {
+        for b in rx.receiver.nonzero() {
             if (b.component, b.name) == ("freebsd-net", "sockbuf") {
                 continue;
             }
@@ -722,7 +709,8 @@ mod tests {
         // identical to a native FreeBSD receiver, i.e. zero *extra*.
         let native = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::freebsd(), 64, 4096);
         assert_eq!(
-            rx.receiver.bytes_copied, native.receiver.bytes_copied,
+            rx.receiver.total().bytes_copied,
+            native.receiver.total().bytes_copied,
             "OSKit receiver must copy no more than native FreeBSD"
         );
     }
@@ -741,7 +729,7 @@ mod tests {
             bsd.rtt_us
         );
         // And the mechanism is crossings, not copies (1-byte payloads).
-        assert!(oskit.client.crossings > 0);
-        assert_eq!(bsd.client.crossings, 0);
+        assert!(oskit.client.total().crossings > 0);
+        assert_eq!(bsd.client.total().crossings, 0);
     }
 }

@@ -14,10 +14,9 @@
 //! * a [`FaultInjector`] handle (one per machine, threaded through
 //!   `oskit-machine`) is consulted by the device models at each fault
 //!   point and by the glue when it recovers, keeping a [`FaultSnapshot`]
-//!   of matched injection/recovery counters;
-//! * the injector is exported as the `oskit_fault` COM interface
-//!   ([`Fault`], IID `oskit_iid(0xC1)`) so a client that was handed
-//!   nothing but the registry can install a plan and read the counters.
+//!   of matched injection/recovery counters.  `Machine::faults()` is the
+//!   one way to reach it: a kernel installs a plan there, and the device
+//!   models of that machine, and only they, act on it.
 //!
 //! Without an installed plan every decision is "no fault" and only the
 //! recovery counters are live, so default benchmark output is unchanged.
@@ -30,13 +29,11 @@
 
 #![warn(missing_docs)]
 
-mod com;
 mod injector;
 mod plan;
 mod rng;
 mod stats;
 
-pub use com::{global, register_com_object, Fault, FaultObj, FAULT_IID};
 pub use injector::{DiskFault, FaultInjector, NicTxFault};
 pub use plan::{AllocFaults, DiskFaults, FaultPlan, IrqFaults, NicFaults};
 pub use rng::SplitMix64;

@@ -199,8 +199,8 @@ fn oskit_napi_bulk_transfer_batches_and_stays_zero_copy() {
         bm.rx_irqs,
         bm.packets_received
     );
-    assert!(bm.rx_polls > 0);
-    assert_eq!(bm.rx_batch_frames, bm.packets_received);
+    assert!(bm.polls > 0);
+    assert_eq!(bm.poll_frames, bm.packets_received);
     // Batched delivery must not cost the receive path its zero-copy
     // skbuff→mbuf wrap: same copy budget as the interrupt-per-frame
     // OSKit configuration.

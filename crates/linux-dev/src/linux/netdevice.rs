@@ -548,8 +548,8 @@ mod tests {
         // Mitigation + polling: strictly fewer interrupts than frames,
         // and every frame accounted to a poll batch.
         assert!(m.rx_irqs < 16, "rx_irqs = {}", m.rx_irqs);
-        assert!(m.rx_polls > 0);
-        assert_eq!(m.rx_batch_frames, 16);
+        assert!(m.polls > 0);
+        assert_eq!(m.poll_frames, 16);
     }
 
     #[test]
@@ -586,8 +586,8 @@ mod tests {
         assert_eq!(got.load(Ordering::Relaxed), 11);
         let s = dev.env.machine.work();
         // ceil(11 / 2) = 6 polls: five full batches and the final dry run.
-        assert_eq!(s.rx_polls, 6);
-        assert_eq!(s.rx_batch_frames, 11);
+        assert_eq!(s.polls, 6);
+        assert_eq!(s.poll_frames, 11);
         // The ring is dry, so the interrupt is armed again.
         assert!(dev.hw.rx_irq_armed());
     }

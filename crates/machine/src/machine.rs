@@ -1,11 +1,11 @@
 //! The simulated PC: RAM, interrupt controller, CPU clock and accounting.
 
-use crate::costs::{CostModel, WorkSnapshot};
+use crate::costs::CostModel;
 use crate::irq::IrqController;
 use crate::phys::PhysMem;
 use crate::sched::{EventId, Ns, Sim};
 use oskit_fault::FaultInjector;
-use oskit_trace::{BoundaryId, EventKind, Tracer};
+use oskit_trace::{BoundaryId, BoundaryMetrics, EventKind, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,9 +67,10 @@ impl Machine {
     }
 
     /// The mechanical work this machine performed: the sum over every
-    /// boundary of [`Machine::tracer`]'s counters.
-    pub fn work(&self) -> WorkSnapshot {
-        WorkSnapshot::from(&self.tracer.metrics())
+    /// boundary of [`Machine::tracer`]'s counters
+    /// ([`TraceReport::total`](oskit_trace::TraceReport::total)).
+    pub fn work(&self) -> BoundaryMetrics {
+        self.tracer.metrics().total()
     }
 
     /// This machine's fault injector: the device models consult it at

@@ -328,32 +328,6 @@ impl Sim {
         Self::make_ready(&mut inner, tid);
     }
 
-    /// Yields the token: lets every other ready thread (and any due event)
-    /// run before the caller continues.
-    pub fn yield_now(&self) {
-        let tid = Tid(CURRENT.with(|c| c.get()).expect("yield outside sim thread"));
-        let mut inner = self.lock();
-        assert!(!inner.in_event, "yield at interrupt level");
-        if !inner.ready.is_empty() {
-            inner.slots[tid.0].state = ThreadState::Blocked;
-            Self::make_ready(&mut inner, tid);
-            drop(inner);
-            self.pass_token(self.lock());
-            let inner = self.lock();
-            if self.park_until_running(inner, tid).is_err() {
-                panic!("simulation failed while yielding");
-            }
-        } else if !inner.events.is_empty() {
-            // No other thread wants the token: advance time by dispatching
-            // the earliest event inline instead of spinning forever.
-            let (inner, _) = self.dispatch_one_event(inner);
-            if inner.failure.is_some() {
-                drop(inner);
-                panic!("simulation failed while yielding");
-            }
-        }
-    }
-
     /// Pops and runs the earliest non-cancelled event, advancing virtual
     /// time.  Returns whether an event ran.  On event panic or time-limit
     /// overrun, records a failure.
@@ -400,7 +374,27 @@ impl Sim {
     /// implementation of paper §4.7.6 ("sleeping is implemented simply as a
     /// busy loop that spins on a one-bit field in the sleep record").
     pub fn relax(&self) {
-        self.yield_now();
+        let tid = Tid(CURRENT.with(|c| c.get()).expect("yield outside sim thread"));
+        let mut inner = self.lock();
+        assert!(!inner.in_event, "yield at interrupt level");
+        if !inner.ready.is_empty() {
+            inner.slots[tid.0].state = ThreadState::Blocked;
+            Self::make_ready(&mut inner, tid);
+            drop(inner);
+            self.pass_token(self.lock());
+            let inner = self.lock();
+            if self.park_until_running(inner, tid).is_err() {
+                panic!("simulation failed while yielding");
+            }
+        } else if !inner.events.is_empty() {
+            // No other thread wants the token: advance time by dispatching
+            // the earliest event inline instead of spinning forever.
+            let (inner, _) = self.dispatch_one_event(inner);
+            if inner.failure.is_some() {
+                drop(inner);
+                panic!("simulation failed while yielding");
+            }
+        }
     }
 
     fn make_ready(inner: &mut Inner, tid: Tid) {

@@ -188,10 +188,6 @@ impl OsEnv {
     /// Builds an environment with the default memory allocator and a
     /// stderr log sink.
     pub fn new(machine: &Arc<Machine>) -> Arc<OsEnv> {
-        // Environment construction is "boot" for the components above it:
-        // publish the fault service here, so any assembled configuration
-        // is fault-scriptable from the start.
-        oskit_fault::register_com_object();
         let mem_size = machine.phys.size();
         Arc::new(OsEnv {
             machine: Arc::clone(machine),

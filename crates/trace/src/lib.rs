@@ -88,6 +88,36 @@ mod tests {
                 (EventKind::PacketReceived, |m| m.packets_received = 1),
             ];
             let seam = crate::boundary!("en", "kind_seam");
+            // Every kind plus span time at two seams: `total()` is the
+            // row one seam gets from the same work done twice, and that
+            // row has no zero counter, so a counter left out of the sum
+            // fails here.
+            let (two_seams, twice) = (Tracer::new(), Tracer::new());
+            let other = crate::boundary!("en", "kind_seam_2");
+            for (kind, _) in table {
+                for s in [seam, other] {
+                    two_seams.record(s, kind);
+                    twice.record(seam, kind);
+                }
+            }
+            for s in [seam, other] {
+                two_seams.add_vtime(s, 5);
+                twice.add_vtime(seam, 5);
+            }
+            let doubled = *twice.metrics().get("en", "kind_seam").unwrap();
+            let debug = format!("{doubled:?}");
+            assert!(
+                !debug.contains(": 0,") && !debug.contains(": 0 }"),
+                "{debug}"
+            );
+            assert_eq!(
+                two_seams.metrics().total(),
+                BoundaryMetrics {
+                    component: "",
+                    name: "",
+                    ..doubled
+                }
+            );
             for (kind, bump) in table {
                 let t = Tracer::new();
                 t.record(seam, kind);

@@ -146,6 +146,38 @@ impl TraceReport {
             .find(|b| b.component == component && b.name == name)
     }
 
+    /// The field-wise sum of every row: the machine's whole work, with
+    /// `component` and `name` left empty.
+    pub fn total(&self) -> BoundaryMetrics {
+        let mut sum = BoundaryMetrics::default();
+        for b in &self.boundaries {
+            sum.crossings += b.crossings;
+            sum.copies += b.copies;
+            sum.bytes_copied += b.bytes_copied;
+            sum.gathers += b.gathers;
+            sum.bytes_gathered += b.bytes_gathered;
+            sum.allocs += b.allocs;
+            sum.bytes_allocated += b.bytes_allocated;
+            sum.alloc_failed += b.alloc_failed;
+            sum.sleeps += b.sleeps;
+            sum.wakeups += b.wakeups;
+            sum.irqs += b.irqs;
+            sum.polls += b.polls;
+            sum.poll_frames += b.poll_frames;
+            sum.cache_hits += b.cache_hits;
+            sum.cache_misses += b.cache_misses;
+            sum.cache_evictions += b.cache_evictions;
+            sum.vtime_ns += b.vtime_ns;
+            sum.layers += b.layers;
+            sum.checksums += b.checksums;
+            sum.bytes_checksummed += b.bytes_checksummed;
+            sum.rx_irqs += b.rx_irqs;
+            sum.packets_sent += b.packets_sent;
+            sum.packets_received += b.packets_received;
+        }
+        sum
+    }
+
     /// The boundaries with at least one nonzero counter.
     pub fn nonzero(&self) -> impl Iterator<Item = &BoundaryMetrics> {
         self.boundaries.iter().filter(|b| !b.is_zero())

@@ -28,8 +28,8 @@ fn main() {
             "{:10} {:>12.1} {:>14.1} {:>12.1}",
             cfg.name(),
             r.rtt_us,
-            r.client.crossings as f64 / round_trips as f64,
-            r.client.copies as f64 / round_trips as f64,
+            r.client.total().crossings as f64 / round_trips as f64,
+            r.client.total().copies as f64 / round_trips as f64,
         );
         if cfg == NetConfig::freebsd() {
             bsd_rtt = r.rtt_us;

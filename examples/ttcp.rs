@@ -62,17 +62,19 @@ fn main() {
         "why (per {} MB):",
         blocks.min(1024) * block_size / (1024 * 1024)
     );
+    let (o, b) = (oskit.sender.total(), bsd.sender.total());
     println!(
         "  OSKit sender copied {} B in {} copies ({} glue crossings);",
-        oskit.sender.bytes_copied, oskit.sender.copies, oskit.sender.crossings
+        o.bytes_copied, o.copies, o.crossings
     );
     println!(
         "  FreeBSD sender copied {} B in {} copies ({} crossings).",
-        bsd.sender.bytes_copied, bsd.sender.copies, bsd.sender.crossings
+        b.bytes_copied, b.copies, b.crossings
     );
     println!(
         "  Receive side: OSKit copied {} B vs FreeBSD {} B — the skbuff is",
-        oskit.receiver.bytes_copied, bsd.receiver.bytes_copied
+        oskit.receiver.total().bytes_copied,
+        bsd.receiver.total().bytes_copied
     );
     println!("  wrapped as an mbuf cluster, never copied (paper §4.7.3).");
 }

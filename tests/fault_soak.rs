@@ -19,11 +19,21 @@
 
 use oskit::com::interfaces::fs::{File, FileSystem};
 use oskit::machine::{
-    AllocFaults, DiskFaults, FaultPlan, FaultSnapshot, IrqFaults, NicFaults, Sim, WorkSnapshot,
+    AllocFaults, BoundaryMetrics, DiskFaults, FaultPlan, FaultSnapshot, IrqFaults, NicFaults, Sim,
+    TraceReport,
 };
 use oskit::netbsd_fs::FfsFileSystem;
 use oskit::{ttcp_run_faulted, KernelBuilder, NetConfig};
 use std::sync::Arc;
+
+/// A machine's ledger rows with at least one nonzero counter.  Replay
+/// compares rows, not whole reports: tests running in parallel in this
+/// process can register new, all-zero boundaries between two runs.
+type Rows = Vec<BoundaryMetrics>;
+
+fn rows(report: &TraceReport) -> Rows {
+    report.nonzero().copied().collect()
+}
 
 /// The netstack soak plan: lossy wire, periodic transmitter wedges,
 /// failing interrupt-level allocations, lost IRQs.
@@ -61,7 +71,7 @@ fn fileserver_plan(seed: u64) -> FaultPlan {
 
 /// One faulted ttcp transfer; byte-exactness is asserted inside the
 /// harness (the receiver counts every byte).
-fn netstack_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot, WorkSnapshot) {
+fn netstack_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, Rows, Rows) {
     let r = ttcp_run_faulted(
         NetConfig::oskit(),
         NetConfig::freebsd(),
@@ -69,7 +79,12 @@ fn netstack_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot,
         4096,
         Some(netstack_plan(seed)),
     );
-    (r.sender_faults, r.receiver_faults, r.sender, r.receiver)
+    (
+        r.sender_faults,
+        r.receiver_faults,
+        rows(&r.sender),
+        rows(&r.receiver),
+    )
 }
 
 #[test]
@@ -93,8 +108,8 @@ fn netstack_survives_seeded_faults_deterministically() {
     let (sf2, rf2, sw2, rw2) = netstack_soak_once(0xDEAD_BEEF);
     assert_eq!(sf, sf2, "sender fault ledger not reproducible");
     assert_eq!(rf, rf2, "receiver fault ledger not reproducible");
-    assert_eq!(sw, sw2, "sender work counters not reproducible");
-    assert_eq!(rw, rw2, "receiver work counters not reproducible");
+    assert_eq!(sw, sw2, "sender ledger rows not reproducible");
+    assert_eq!(rw, rw2, "receiver ledger rows not reproducible");
 
     // A different seed must diverge (the plan is live, not inert).
     let (sf3, ..) = netstack_soak_once(0xFEED_F00D);
@@ -117,7 +132,7 @@ fn napi_plan(seed: u64) -> FaultPlan {
 
 /// One faulted NAPI transfer: native-FreeBSD sender, OSKit receiver in
 /// `NETIF_F_NAPI` mode.  Byte-exactness asserted inside the harness.
-fn napi_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot, WorkSnapshot) {
+fn napi_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, Rows, Rows) {
     let r = ttcp_run_faulted(
         NetConfig::freebsd(),
         NetConfig::oskit().napi(true),
@@ -125,7 +140,12 @@ fn napi_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot, Wor
         4096,
         Some(napi_plan(seed)),
     );
-    (r.sender_faults, r.receiver_faults, r.sender, r.receiver)
+    (
+        r.sender_faults,
+        r.receiver_faults,
+        rows(&r.sender),
+        rows(&r.receiver),
+    )
 }
 
 /// The interplay the NAPI path must get right (ISSUE 4 x ISSUE 3): under
@@ -149,20 +169,21 @@ fn napi_receiver_survives_lost_coalesced_irqs() {
     );
     // Mitigation stayed on through the faults: batched polls, fewer
     // interrupts than frames.
-    assert!(rw.rx_polls > 0, "receiver never polled: {rw:?}");
+    let work = rw.iter().copied().collect::<TraceReport>().total();
+    assert!(work.polls > 0, "receiver never polled: {work:?}");
     assert!(
-        rw.rx_irqs < rw.packets_received,
+        work.rx_irqs < work.packets_received,
         "mitigation off: {} irqs for {} frames",
-        rw.rx_irqs,
-        rw.packets_received
+        work.rx_irqs,
+        work.packets_received
     );
 
     // Replay: same seed, same workload → identical ledgers and meters.
     let (sf2, rf2, sw2, rw2) = napi_soak_once(0x0a51_50ac);
     assert_eq!(sf, sf2, "sender fault ledger not reproducible");
     assert_eq!(rf, rf2, "receiver fault ledger not reproducible");
-    assert_eq!(sw, sw2, "sender work counters not reproducible");
-    assert_eq!(rw, rw2, "receiver work counters not reproducible");
+    assert_eq!(sw, sw2, "sender ledger rows not reproducible");
+    assert_eq!(rw, rw2, "receiver ledger rows not reproducible");
 
     // Cross-process determinism: check.sh runs this test twice and diffs
     // these lines.
@@ -201,8 +222,8 @@ fn read_all(f: &dyn File, len: usize) -> Vec<u8> {
 /// overwrite with a new pattern and sync (clustered write-back under
 /// faults), fsck clean.  A last cold remount re-reads the final pattern
 /// byte-exact and must leave no cache block wired or held.  Returns the
-/// machine's fault ledger.
-fn fileserver_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
+/// machine's fault ledger and its work ledger rows.
+fn fileserver_soak_once(seed: u64) -> (FaultSnapshot, Rows) {
     let sim = Sim::new();
     let (kernel, _, _) = KernelBuilder::new("fault-soak").disk(8192).boot(&sim);
     kernel.machine.faults().install(fileserver_plan(seed));
@@ -251,7 +272,10 @@ fn fileserver_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
         fs.unmount().unwrap();
     });
     sim.run();
-    (kernel.machine.faults().stats(), kernel.machine.work())
+    (
+        kernel.machine.faults().stats(),
+        rows(&kernel.machine.tracer().metrics()),
+    )
 }
 
 #[test]
@@ -272,7 +296,7 @@ fn fileserver_survives_seeded_faults_deterministically() {
     // Replay determinism.
     let (fl2, wk2) = fileserver_soak_once(0x5EED_D15C);
     assert_eq!(fl, fl2, "fileserver fault ledger not reproducible");
-    assert_eq!(wk, wk2, "fileserver work counters not reproducible");
+    assert_eq!(wk, wk2, "fileserver ledger rows not reproducible");
 
     println!("fault-soak: fileserver {fl:?}");
 }
@@ -283,7 +307,7 @@ fn fileserver_survives_seeded_faults_deterministically() {
 /// must be retried by the block layer, not surfaced to the cache or
 /// beyond.  The second pass must be served entirely from the cache: no
 /// new misses, so no chance for the still-faulted disk to bite.
-fn cache_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
+fn cache_soak_once(seed: u64) -> (FaultSnapshot, Rows) {
     let sim = Sim::new();
     let (kernel, _, _) = KernelBuilder::new("cache-soak").disk(8192).boot(&sim);
     kernel.machine.faults().install(fileserver_plan(seed));
@@ -327,7 +351,10 @@ fn cache_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
         fs.unmount().unwrap();
     });
     sim.run();
-    (kernel.machine.faults().stats(), kernel.machine.work())
+    (
+        kernel.machine.faults().stats(),
+        rows(&kernel.machine.tracer().metrics()),
+    )
 }
 
 #[test]
@@ -343,7 +370,7 @@ fn cache_fills_retry_under_disk_faults_and_hits_absorb_them() {
     // Replay determinism: the cache must not perturb the fault schedule.
     let (fl2, wk2) = cache_soak_once(0xCAC4_E5EE);
     assert_eq!(fl, fl2, "cache-soak fault ledger not reproducible");
-    assert_eq!(wk, wk2, "cache-soak work counters not reproducible");
+    assert_eq!(wk, wk2, "cache-soak ledger rows not reproducible");
 
     println!("fault-soak: cache {fl:?}");
 }

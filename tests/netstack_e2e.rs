@@ -26,7 +26,7 @@ fn table1_receive_parity() {
 #[test]
 fn table1_receive_is_zero_copy_at_every_boundary() {
     let r = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::oskit(), 512, 4096);
-    let report = &r.receiver_boundaries;
+    let report = &r.receiver;
     for b in report.nonzero() {
         // The donor stack's sockbuf uiomove (mbuf→user) is the one copy
         // every configuration pays, native FreeBSD included; everything
@@ -43,7 +43,10 @@ fn table1_receive_is_zero_copy_at_every_boundary() {
     // Zero *extra* overall: the OSKit receiver copies exactly as much as
     // a native FreeBSD receiver does.
     let native = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::freebsd(), 512, 4096);
-    assert_eq!(r.receiver.bytes_copied, native.receiver.bytes_copied);
+    assert_eq!(
+        r.receiver.total().bytes_copied,
+        native.receiver.total().bytes_copied
+    );
     // The receive path is actually instrumented: the ether glue saw
     // every inbound frame cross.
     let rx = report
@@ -59,7 +62,7 @@ fn table1_receive_is_zero_copy_at_every_boundary() {
 fn table1_send_copy_lands_on_ether_glue() {
     let r = ttcp_run_mixed(NetConfig::oskit(), NetConfig::freebsd(), 512, 4096);
     let tx = r
-        .sender_boundaries
+        .sender
         .get("linux-dev", "ether_tx")
         .expect("ether_tx boundary missing from sender report");
     assert!(
@@ -77,7 +80,7 @@ fn table1_send_copy_lands_on_ether_glue() {
 #[test]
 fn table1_send_books_layer_and_checksum_work() {
     let r = ttcp_run_mixed(NetConfig::oskit(), NetConfig::freebsd(), 4096, 4096);
-    let report = &r.sender_boundaries;
+    let report = &r.sender;
     for (component, name) in [
         ("freebsd-net", "tcp_out"),
         ("freebsd-net", "ip_out"),
@@ -94,11 +97,12 @@ fn table1_send_books_layer_and_checksum_work() {
     assert!(report.nonzero().any(|b| b.checksums > 0));
     let summed: u64 = report.boundaries.iter().map(|b| b.bytes_checksummed).sum();
     assert!(summed > 0);
-    assert_eq!(r.sender.bytes_checksummed, summed);
+    let work = r.sender.total();
+    assert_eq!(work.bytes_checksummed, summed);
     // The new counters add no crossings and no copies: the mechanics
     // line of `table1` is unchanged.
     assert_eq!(
-        (r.sender.copies, r.sender.crossings, r.sender.bytes_copied),
+        (work.copies, work.crossings, work.bytes_copied),
         (26_978, 45_984, 34_175_000)
     );
 }
@@ -116,7 +120,7 @@ fn table1_send_penalty() {
         bsd.mbit_s
     );
     // The mechanism: roughly one extra copy of every payload byte.
-    assert!(oskit.sender.bytes_copied > bsd.sender.bytes_copied * 3 / 2);
+    assert!(oskit.sender.total().bytes_copied > bsd.sender.total().bytes_copied * 3 / 2);
 }
 
 /// The SG ablation: with NETIF_F_SG advertised, the driver maps mbuf
@@ -140,9 +144,10 @@ fn sg_driver_recovers_send_penalty() {
     // The mechanism: descriptors are gathered, payload bytes are not
     // copied — the SG sender copies no more than the native one (whose
     // only copy is the sosend user→mbuf move every stack pays).
-    assert!(sg.sender.gathers > 0, "SG sender never gathered");
-    assert!(sg.sender.bytes_gathered >= sg.bytes);
-    assert!(sg.sender.bytes_copied <= bsd.sender.bytes_copied);
+    let work = sg.sender.total();
+    assert!(work.gathers > 0, "SG sender never gathered");
+    assert!(work.bytes_gathered >= sg.bytes);
+    assert!(work.bytes_copied <= bsd.sender.total().bytes_copied);
     assert_eq!(sg.bytes, 512 * 4096, "payload must still arrive intact");
 }
 
@@ -153,7 +158,7 @@ fn sg_driver_recovers_send_penalty() {
 fn sg_send_is_zero_copy_at_ether_glue() {
     let r = ttcp_run_mixed(NetConfig::oskit().sg(true), NetConfig::freebsd(), 512, 4096);
     let tx = r
-        .sender_boundaries
+        .sender
         .get("linux-dev", "ether_tx")
         .expect("ether_tx boundary missing from SG sender report");
     assert_eq!(
@@ -172,8 +177,11 @@ fn table2_latency_overhead() {
     let bsd = rtcp_run(NetConfig::freebsd(), 100);
     let oskit = rtcp_run(NetConfig::oskit(), 100);
     assert!(oskit.rtt_us > bsd.rtt_us + 1.0);
-    assert_eq!(bsd.client.crossings, 0);
-    assert!(oskit.client.crossings >= 100 * 4, "4+ crossings per RT");
+    assert_eq!(bsd.client.total().crossings, 0);
+    assert!(
+        oskit.client.total().crossings >= 100 * 4,
+        "4+ crossings per RT"
+    );
 }
 
 /// Both directions of every configuration actually move correct data.

@@ -8,7 +8,7 @@
 //! receive interrupts than frames, by a wide margin.
 
 use oskit::linux_dev::{NetDevice, NETIF_F_NAPI};
-use oskit::machine::{Machine, Nic, Sim, SleepRecord, WorkSnapshot};
+use oskit::machine::{BoundaryMetrics, Machine, Nic, Sim, SleepRecord};
 use oskit::osenv::OsEnv;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -46,7 +46,7 @@ struct RigResult {
     /// Payloads delivered to the receiver's rx handler, in order.
     got: Vec<Vec<u8>>,
     /// Receiver machine work meter.
-    meter: WorkSnapshot,
+    meter: BoundaryMetrics,
     /// Frames the receiver NIC dropped on ring overflow.
     nic_dropped: u64,
     /// Frames the receiver *device* dropped (handler/alloc level).
@@ -116,7 +116,7 @@ fn burst_soak_is_byte_exact_in_both_modes() {
     assert_eq!(classic.dev_dropped, 0);
     // Interrupt-per-frame: the classic path announces every frame.
     assert_eq!(classic.meter.rx_irqs, 96);
-    assert_eq!(classic.meter.rx_polls, 0);
+    assert_eq!(classic.meter.polls, 0);
 
     let napi = run_burst(true, payloads.clone(), 32, 300_000);
     assert_eq!(napi.got, payloads, "NAPI mode corrupted the stream");
@@ -137,8 +137,8 @@ fn burst_soak_is_byte_exact_in_both_modes() {
         napi.meter.rx_irqs
     );
     // Every frame came up through a budgeted poll.
-    assert!(napi.meter.rx_polls > 0);
-    assert_eq!(napi.meter.rx_batch_frames, 96);
+    assert!(napi.meter.polls > 0);
+    assert_eq!(napi.meter.poll_frames, 96);
 }
 
 /// Sparse arrivals (one frame per gap, gaps far above the coalesce

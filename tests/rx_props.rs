@@ -10,7 +10,7 @@
 //! never strand frames behind a disarmed interrupt.
 
 use oskit::linux_dev::{NetDevice, NETIF_F_NAPI};
-use oskit::machine::{Machine, Nic, Sim, SleepRecord, WorkSnapshot};
+use oskit::machine::{BoundaryMetrics, Machine, Nic, Sim, SleepRecord};
 use oskit::osenv::OsEnv;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -45,7 +45,7 @@ fn run_pattern(
     budget: usize,
     payloads: Vec<Vec<u8>>,
     gaps: Vec<u64>,
-) -> (Vec<Vec<u8>>, WorkSnapshot) {
+) -> (Vec<Vec<u8>>, BoundaryMetrics) {
     let sim = Sim::new();
     let ma = Machine::new(&sim, "a", 1 << 20);
     let mb = Machine::new(&sim, "b", 1 << 20);
@@ -101,12 +101,12 @@ proptest! {
         let payloads = payloads_from(&sizes, seed);
         let (classic, cm) = run_pattern(false, 0, payloads.clone(), gaps.clone());
         prop_assert_eq!(&classic, &payloads);
-        prop_assert_eq!(cm.rx_polls, 0);
+        prop_assert_eq!(cm.polls, 0);
         let (napi, nm) = run_pattern(true, budget, payloads.clone(), gaps);
         prop_assert_eq!(&napi, &payloads);
         prop_assert_eq!(&napi, &classic);
-        prop_assert!(nm.rx_polls > 0);
-        prop_assert_eq!(nm.rx_batch_frames, payloads.len() as u64);
+        prop_assert!(nm.polls > 0);
+        prop_assert_eq!(nm.poll_frames, payloads.len() as u64);
         // Mitigation may only remove interrupts, never add them.
         prop_assert!(nm.rx_irqs <= payloads.len() as u64);
     }
@@ -160,8 +160,8 @@ proptest! {
         sim.run();
         prop_assert_eq!(&*got.lock(), &expect);
         let m = mb.work();
-        prop_assert_eq!(m.rx_polls, n.div_ceil(budget) as u64);
-        prop_assert_eq!(m.rx_batch_frames, n as u64);
+        prop_assert_eq!(m.polls, n.div_ceil(budget) as u64);
+        prop_assert_eq!(m.poll_frames, n as u64);
         prop_assert!(nb.rx_irq_armed());
     }
 }

@@ -30,41 +30,33 @@ fn sendfile_copies_zero_bytes_at_every_glue_seam() {
 
     // The cache was pre-warmed and large enough: the transfer itself
     // never touched the disk, and the pages it lent were all hits.
-    assert_eq!(r.server.cache_misses, 0, "warm cache missed");
-    assert!(r.server.cache_hits > 0, "sendfile bypassed the cache");
-    assert_eq!(r.server.cache_evictions, 0, "cache thrashed");
+    let work = r.server.total();
+    assert_eq!(work.cache_misses, 0, "warm cache missed");
+    assert!(work.cache_hits > 0, "sendfile bypassed the cache");
+    assert_eq!(work.cache_evictions, 0, "cache thrashed");
 
     // Aggregate shape: the payload moved as gathers, not copies.  (The
     // few copied bytes are metadata sync, not payload: far below one
     // payload's worth.)
+    assert!(work.bytes_gathered >= r.bytes, "payload was not gathered");
     assert!(
-        r.server.bytes_gathered >= r.bytes,
-        "payload was not gathered"
-    );
-    assert!(
-        r.server.bytes_copied < r.bytes / 8,
+        work.bytes_copied < r.bytes / 8,
         "sendfile copied {} of {} bytes",
-        r.server.bytes_copied,
+        work.bytes_copied,
         r.bytes
     );
 
     // The headline claim, pinned to the exact seams: zero bytes
     // copied where the file hands pages to the socket, and zero
     // where the driver hands fragments to the wire.
-    let sockbuf = r
-        .server_boundaries
-        .get("freebsd-net", "sockbuf")
-        .expect("sockbuf row");
+    let sockbuf = r.server.get("freebsd-net", "sockbuf").expect("sockbuf row");
     assert_eq!(sockbuf.bytes_copied, 0, "uiomove ran on the sendfile path");
     assert!(sockbuf.bytes_gathered >= r.bytes);
-    let tx = r
-        .server_boundaries
-        .get("linux-dev", "ether_tx")
-        .expect("ether_tx row");
+    let tx = r.server.get("linux-dev", "ether_tx").expect("ether_tx row");
     assert_eq!(tx.bytes_copied, 0, "driver flattened the fragments");
     assert!(tx.gathers > 0, "driver never gathered");
     // And the cache→caller copy-out seam never ran at all.
-    if let Some(fsr) = r.server_boundaries.get("netbsd-fs", "fs_read") {
+    if let Some(fsr) = r.server.get("netbsd-fs", "fs_read") {
         assert_eq!(fsr.bytes_copied, 0, "read_at bounce ran during sendfile");
     }
 }
@@ -76,15 +68,16 @@ fn copying_modes_pay_the_copies_sendfile_avoids() {
     // read_at pays cache→caller, send pays caller→mbuf, the non-SG
     // driver pays mbuf→wire: every payload byte at least twice (the
     // wire copy is charged on the ether seam of the same machine).
+    let work = r.server.total();
     assert!(
-        r.server.bytes_copied >= 2 * r.bytes,
+        work.bytes_copied >= 2 * r.bytes,
         "copy mode only copied {} of 2x{} bytes",
-        r.server.bytes_copied,
+        work.bytes_copied,
         r.bytes
     );
-    assert_eq!(r.server.cache_misses, 0, "warm cache missed");
+    assert_eq!(work.cache_misses, 0, "warm cache missed");
     for seam in [("netbsd-fs", "fs_read"), ("freebsd-net", "sockbuf")] {
-        let b = r.server_boundaries.get(seam.0, seam.1).expect("seam row");
+        let b = r.server.get(seam.0, seam.1).expect("seam row");
         assert!(
             b.bytes_copied >= r.bytes,
             "{}::{} copied only {} bytes",

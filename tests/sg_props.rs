@@ -14,7 +14,7 @@ use oskit::com::{com_object, new_com, SelfRef};
 use oskit::freebsd_net::bsd::mbuf::{Mbuf, MbufChain, MCLBYTES, MLEN};
 use oskit::freebsd_net::glue::bufio::MbufBufIo;
 use oskit::linux_dev::{LinuxEtherDev, NetDevice, NETIF_F_SG};
-use oskit::machine::{Machine, Nic, Sim, SleepRecord, WorkSnapshot};
+use oskit::machine::{BoundaryMetrics, Machine, Nic, Sim, SleepRecord};
 use oskit::osenv::OsEnv;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -69,7 +69,7 @@ fn push_frag(chain: &mut MbufChain, mut frag: &[u8]) {
 fn transmit(
     sg_driver: bool,
     mk: impl FnOnce() -> Arc<dyn BufIo> + Send + 'static,
-) -> (Vec<Vec<u8>>, WorkSnapshot) {
+) -> (Vec<Vec<u8>>, BoundaryMetrics) {
     let sim = Sim::new();
     let ma = Machine::new(&sim, "a", 1 << 20);
     let mb = Machine::new(&sim, "b", 1 << 20);

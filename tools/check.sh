@@ -51,11 +51,15 @@ if [ "$fast" -eq 0 ]; then
     ./target/release/table1 | diff - tools/golden/table1.txt
     ./target/release/table2 | diff - tools/golden/table2.txt
     ./target/release/table3 | diff - tools/golden/table3.txt
-    echo "==> ablation and breakdown shape checks (each binary exits non-zero on [FAIL])"
-    for run in "table1 --boundaries" "table1 --sg --napi" "table1 --faults" \
-        "table2 --napi --boundaries" "table3 --boundaries"; do
-        # shellcheck disable=SC2086 # $run is a binary name plus flags.
-        out=$(./target/release/$run) || { echo "$out" >&2; echo "FAILED: $run" >&2; exit 1; }
+    echo "==> ablation and breakdown runs: exit zero (no [FAIL]) and stdout identical to tools/golden"
+    for run in "table1 --boundaries --sg --napi --faults:table1-ablations.txt" \
+        "table2 --napi --boundaries:table2-ablations.txt" \
+        "table3 --boundaries:table3-boundaries.txt"; do
+        cmd=${run%%:*}
+        golden=tools/golden/${run##*:}
+        # shellcheck disable=SC2086 # $cmd is a binary name plus flags.
+        out=$(./target/release/$cmd) || { echo "$out" >&2; echo "FAILED: $cmd" >&2; exit 1; }
+        printf '%s\n' "$out" | diff - "$golden" || { echo "FAILED: $cmd differs from $golden" >&2; exit 1; }
     done
 fi
 
