@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("write_read_64k_core", |b| {
         let dev = fresh_dev();
-        let fs = FsCore::mount(&dev).unwrap();
+        let fs = FsCore::mount(&dev, None).unwrap();
         let ino = fs
             .ialloc(oskit::netbsd_fs::ffs::ondisk::mode::IFREG | 0o644)
             .unwrap();

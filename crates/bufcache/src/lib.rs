@@ -27,6 +27,10 @@
 //! contiguous run with one device request, and [`BufCache::sync`] writes
 //! each run of consecutive dirty blocks with one request.  Neither moves
 //! more than [`MAXPHYS`] bytes at a time.
+//!
+//! Hits, misses and evictions are counted in one place: the ledger of
+//! the [`Machine`] the cache was built with, at the `bufcache::getblk`
+//! boundary.
 
 #![warn(missing_docs)]
 
@@ -35,7 +39,7 @@ use oskit_com::{com_object, new_com, Error, Result, SelfRef};
 use oskit_machine::{boundary, EventKind, Machine};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Bounded retries for a transient device error during a cache fill or
@@ -178,17 +182,6 @@ impl SgBufIo for CachedBlock {}
 
 com_object!(CachedBlock, me, [BlkIo, BufIo, SgBufIo]);
 
-/// A point-in-time copy of a cache's accounting counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups satisfied from memory.
-    pub hits: u64,
-    /// Lookups that filled from the backing device.
-    pub misses: u64,
-    /// Blocks evicted to make room.
-    pub evictions: u64,
-}
-
 struct Entry {
     block: Arc<CachedBlock>,
     used: u64,
@@ -210,16 +203,22 @@ pub struct BufCache {
     block_size: usize,
     max_blocks: usize,
     state: Mutex<CacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    machine: Mutex<Option<Arc<Machine>>>,
+    /// The machine whose ledger books each hit, miss and eviction.
+    machine: Option<Arc<Machine>>,
 }
 
 impl BufCache {
     /// Creates a cache of `max_blocks` blocks of `block_size` bytes over
-    /// `dev` (minimum 4 blocks, like the donor cache).
-    pub fn new(dev: &Arc<dyn BlkIo>, block_size: usize, max_blocks: usize) -> BufCache {
+    /// `dev` (minimum 4 blocks, like the donor cache).  Hits, misses and
+    /// evictions are booked in `machine`'s ledger at the
+    /// `bufcache::getblk` boundary; a cache without a machine (`newfs`,
+    /// host-side tools) counts nothing.
+    pub fn new(
+        dev: &Arc<dyn BlkIo>,
+        block_size: usize,
+        max_blocks: usize,
+        machine: Option<Arc<Machine>>,
+    ) -> BufCache {
         BufCache {
             dev: Arc::clone(dev),
             block_size,
@@ -228,37 +227,13 @@ impl BufCache {
                 map: HashMap::new(),
                 tick: 0,
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            machine: Mutex::new(None),
+            machine,
         }
-    }
-
-    /// Attaches the machine whose ledger the hit/miss/eviction events are
-    /// booked in, at the `bufcache::getblk` boundary.  Without a machine the cache still counts locally
-    /// ([`BufCache::stats`]).
-    pub fn attach_machine(&self, machine: &Arc<Machine>) {
-        *self.machine.lock() = Some(Arc::clone(machine));
-    }
-
-    /// The backing device.
-    pub fn device(&self) -> &Arc<dyn BlkIo> {
-        &self.dev
     }
 
     /// The cache's uniform block size in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// Local accounting counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
     }
 
     /// Whether `blkno` is currently resident (test/diagnostic hook; does
@@ -287,24 +262,10 @@ impl BufCache {
         pinned
     }
 
-    fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &*self.machine.lock() {
-            m.note_at(boundary!("bufcache", "getblk"), EventKind::CacheHit);
-        }
-    }
-
-    fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &*self.machine.lock() {
-            m.note_at(boundary!("bufcache", "getblk"), EventKind::CacheMiss);
-        }
-    }
-
-    fn note_evict(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &*self.machine.lock() {
-            m.note_at(boundary!("bufcache", "getblk"), EventKind::CacheEvict);
+    /// Books a hit, miss or eviction in the machine's ledger, if any.
+    fn note(&self, kind: EventKind) {
+        if let Some(m) = &self.machine {
+            m.note_at(boundary!("bufcache", "getblk"), kind);
         }
     }
 
@@ -327,10 +288,10 @@ impl BufCache {
     /// looked up.
     pub fn cluster_read(&self, blkno: u32, run: usize) -> Result<Arc<CachedBlock>> {
         if let Some(b) = self.lookup(blkno) {
-            self.note_hit();
+            self.note(EventKind::CacheHit);
             return Ok(b);
         }
-        self.note_miss();
+        self.note(EventKind::CacheMiss);
         let n = self.nonresident_run(blkno, run.clamp(1, self.max_run()));
         let data = self.fill(blkno, n)?;
         Ok(self.install(blkno, data))
@@ -436,7 +397,7 @@ impl BufCache {
             (block, victims)
         };
         for v in victims {
-            self.note_evict();
+            self.note(EventKind::CacheEvict);
             if v.is_dirty() && self.write_run(std::slice::from_ref(&v)).is_err() {
                 // Never lose data to a failing device: put the dirty
                 // block back (still dirty) and stay over budget.
@@ -552,10 +513,22 @@ mod tests {
         VecBufIo::from_vec(data) as Arc<dyn BlkIo>
     }
 
+    /// A cache that books its lookups on a machine of its own.
+    fn metered(dev: &Arc<dyn BlkIo>, max_blocks: usize) -> (BufCache, Arc<Machine>) {
+        let m = Machine::new(&oskit_machine::Sim::new(), "cache", 4096);
+        (BufCache::new(dev, BS, max_blocks, Some(Arc::clone(&m))), m)
+    }
+
+    /// The machine's `(hits, misses, evictions)`.
+    fn counts(m: &Machine) -> (u64, u64, u64) {
+        let w = m.work();
+        (w.cache_hits, w.cache_misses, w.cache_evictions)
+    }
+
     #[test]
     fn bread_fills_and_hits() {
         let dev = ram_dev(16);
-        let c = BufCache::new(&dev, BS, 8);
+        let (c, m) = metered(&dev, 8);
         let b = c.bread(3).unwrap();
         b.with_map(0, BS, &mut |s| {
             assert!(s
@@ -566,20 +539,13 @@ mod tests {
         .unwrap();
         drop(b);
         let _ = c.bread(3).unwrap();
-        assert_eq!(
-            c.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                evictions: 0
-            }
-        );
+        assert_eq!(counts(&m), (1, 1, 0));
     }
 
     #[test]
     fn short_read_is_io_error() {
         let dev = ram_dev(4);
-        let c = BufCache::new(&dev, BS, 8);
+        let c = BufCache::new(&dev, BS, 8, None);
         assert_eq!(c.bread(4).unwrap_err(), Error::Io);
         assert_eq!(c.bread(100).unwrap_err(), Error::Io);
     }
@@ -587,7 +553,7 @@ mod tests {
     #[test]
     fn dirty_blocks_write_back_on_sync_and_evict() {
         let dev = ram_dev(32);
-        let c = BufCache::new(&dev, BS, 4);
+        let (c, m) = metered(&dev, 4);
         c.bmodify(1, |d| d.fill(0xAA)).unwrap();
         // Evict block 1 by touching 4 others.
         for blk in [2, 3, 4, 5] {
@@ -597,12 +563,19 @@ mod tests {
         let mut buf = vec![0u8; BS];
         assert_eq!(dev.read(&mut buf, BS as u64).unwrap(), BS);
         assert!(buf.iter().all(|&v| v == 0xAA), "eviction must write back");
-        // And sync writes back a still-resident dirty block.
+        // A still-resident dirty block reaches the device only on sync.
         c.bmodify(2, |d| d.fill(0xBB)).unwrap();
+        assert_eq!(dev.read(&mut buf, 2 * BS as u64).unwrap(), BS);
+        assert!(
+            buf.iter()
+                .enumerate()
+                .all(|(i, &v)| v == ((2 * BS + i) % 251) as u8),
+            "write must be delayed"
+        );
         c.sync().unwrap();
         assert_eq!(dev.read(&mut buf, 2 * BS as u64).unwrap(), BS);
         assert!(buf.iter().all(|&v| v == 0xBB));
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(counts(&m).2, 1);
     }
 
     #[test]
@@ -632,7 +605,7 @@ mod tests {
         }
         let backing = Arc::new(WriteOnly(Mutex::new(vec![0; 8 * BS])));
         let dev = Arc::clone(&backing) as Arc<dyn BlkIo>;
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, None);
         c.bwrite_full(2, &vec![7u8; BS]).unwrap();
         c.sync().unwrap();
         let d = backing.0.lock();
@@ -643,7 +616,7 @@ mod tests {
     #[test]
     fn held_handle_is_never_evicted() {
         let dev = ram_dev(64);
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, None);
         let held = c.bread(0).unwrap();
         for blk in 1..20 {
             let _ = c.bread(blk).unwrap();
@@ -659,7 +632,7 @@ mod tests {
     #[test]
     fn wired_block_is_never_evicted() {
         let dev = ram_dev(64);
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, None);
         let b = c.bread(7).unwrap();
         b.wire().unwrap();
         drop(b);
@@ -679,7 +652,7 @@ mod tests {
     #[test]
     fn cached_block_implements_the_full_bufio_lattice() {
         let dev = ram_dev(8);
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, None);
         let b = c.bread(1).unwrap();
         // Upcast chain: SgBufIo → BufIo → BlkIo, per the interface
         // lattice (COMPONENTS.md).
@@ -745,7 +718,7 @@ mod tests {
             fail_writes: AtomicUsize::new(0),
         });
         let dev = Arc::clone(&flaky) as Arc<dyn BlkIo>;
-        let c = BufCache::new(&dev, BS, 8);
+        let c = BufCache::new(&dev, BS, 8, None);
         let b = c.bread(5).unwrap();
         b.with_map(0, BS, &mut |s| {
             assert!(s
@@ -810,7 +783,7 @@ mod tests {
     #[test]
     fn cluster_read_fills_the_run_with_one_request() {
         let (log, dev) = counting(ram_dev(32), BS);
-        let c = BufCache::new(&dev, BS, 16);
+        let (c, m) = metered(&dev, 16);
         let b = c.cluster_read(2, 8).unwrap();
         assert_eq!(b.blkno(), 2);
         assert_eq!(*log.log.lock(), [(false, 2, 8)]);
@@ -829,21 +802,14 @@ mod tests {
             .unwrap();
         }
         assert_eq!(log.log.lock().len(), 1);
-        assert_eq!(
-            c.stats(),
-            CacheStats {
-                hits: 7,
-                misses: 1,
-                evictions: 0
-            }
-        );
+        assert_eq!(counts(&m), (7, 1, 0));
         assert_eq!(c.pinned(), [2], "only the returned handle pins");
     }
 
     #[test]
     fn cluster_read_stops_at_a_resident_block() {
         let (log, dev) = counting(ram_dev(32), BS);
-        let c = BufCache::new(&dev, BS, 16);
+        let c = BufCache::new(&dev, BS, 16, None);
         c.bmodify(5, |d| d.fill(0xEE)).unwrap();
         log.log.lock().clear();
         let _ = c.cluster_read(2, 8).unwrap();
@@ -863,7 +829,7 @@ mod tests {
         let big = MAXPHYS / 4;
         let dev = VecBufIo::with_len(8 * big) as Arc<dyn BlkIo>;
         let (log, dev) = counting(dev, big);
-        let c = BufCache::new(&dev, big, 16);
+        let c = BufCache::new(&dev, big, 16, None);
         let _ = c.cluster_read(0, 100).unwrap();
         assert_eq!(*log.log.lock(), [(false, 0, 4)], "run past MAXPHYS");
         // A run past the end of the device keeps the whole blocks read.
@@ -877,7 +843,7 @@ mod tests {
         let big = MAXPHYS / 4;
         let dev = VecBufIo::with_len(32 * big) as Arc<dyn BlkIo>;
         let (log, dev) = counting(dev, big);
-        let c = BufCache::new(&dev, big, 32);
+        let c = BufCache::new(&dev, big, 32, None);
         for blk in [0, 1, 2, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16] {
             c.bwrite_full(blk, &vec![blk as u8; big]).unwrap();
         }
@@ -910,7 +876,7 @@ mod tests {
             fail_reads: AtomicUsize::new(0),
             fail_writes: AtomicUsize::new(FILL_RETRIES),
         });
-        let c = BufCache::new(&dev, BS, 8);
+        let c = BufCache::new(&dev, BS, 8, None);
         for blk in 3..7 {
             c.bmodify(blk, |d| d.fill(0x5A)).unwrap();
         }
@@ -952,8 +918,8 @@ mod tests {
 
     /// Drives one op sequence, tracking held and wired handles, and
     /// checks the pin invariant after every step.  Returns the final
-    /// resident set plus stats, for cross-run determinism checks.
-    fn drive(c: &BufCache, ops: &[Op]) -> (Vec<u32>, CacheStats) {
+    /// resident set, for cross-run determinism checks.
+    fn drive(c: &BufCache, ops: &[Op]) -> Vec<u32> {
         let mut held: Vec<Arc<CachedBlock>> = Vec::new();
         let mut wired: Vec<Arc<CachedBlock>> = Vec::new();
         for op in ops {
@@ -998,7 +964,7 @@ mod tests {
             st.map.keys().copied().collect()
         };
         resident.sort_unstable();
-        (resident, c.stats())
+        resident
     }
 
     proptest! {
@@ -1009,19 +975,22 @@ mod tests {
         #[test]
         fn pinned_blocks_survive(ops in proptest::collection::vec(op_strategy(), 1..80)) {
             let dev = ram_dev(24);
-            let c = BufCache::new(&dev, BS, 4);
+            let c = BufCache::new(&dev, BS, 4, None);
             drive(&c, &ops);
         }
 
         /// LRU order is deterministic: the same op sequence on two caches
-        /// leaves the same resident set and the same counters.
+        /// leaves the same resident set and the same `bufcache::getblk`
+        /// ledger row.
         #[test]
         fn lru_is_deterministic(ops in proptest::collection::vec(op_strategy(), 1..80)) {
             let dev_a = ram_dev(24);
             let dev_b = ram_dev(24);
-            let a = BufCache::new(&dev_a, BS, 4);
-            let b = BufCache::new(&dev_b, BS, 4);
+            let (a, ma) = metered(&dev_a, 4);
+            let (b, mb) = metered(&dev_b, 4);
             prop_assert_eq!(drive(&a, &ops), drive(&b, &ops));
+            let row = |m: &Machine| m.tracer().metrics().get("bufcache", "getblk").cloned();
+            prop_assert_eq!(row(&ma), row(&mb));
         }
 
         /// Read-after-evict refills from the device byte-exact, including
@@ -1032,7 +1001,7 @@ mod tests {
             stamp in 0u8..255,
         ) {
             let dev = ram_dev(16);
-            let c = BufCache::new(&dev, BS, 4);
+            let c = BufCache::new(&dev, BS, 4, None);
             // Stamp one block, then thrash the cache over the rest.
             c.bmodify(blks[0], |d| d.fill(stamp)).unwrap();
             for b in &blks[1..] {
@@ -1129,7 +1098,7 @@ mod tests {
             let (log, dev) = counting(ram_dev(SHADOW_BLOCKS as usize), BS);
             let mut shadow = vec![0u8; SHADOW_BLOCKS as usize * BS];
             dev.read(&mut shadow, 0).unwrap();
-            let c = BufCache::new(&dev, BS, 6);
+            let c = BufCache::new(&dev, BS, 6, None);
             let block = |b: u32| b as usize * BS..(b as usize + 1) * BS;
             for op in &ops {
                 let before = log.log.lock().len();

@@ -216,8 +216,7 @@ struct Testbed {
     _keep: Vec<Box<dyn std::any::Any + Send + Sync>>,
 }
 
-fn build(sender_cfg: NetConfig, receiver_cfg: NetConfig) -> Testbed {
-    let sim = Sim::new();
+fn build(sim: Arc<Sim>, sender_cfg: NetConfig, receiver_cfg: NetConfig) -> Testbed {
     sim.set_time_limit(10_000_000_000_000); // 10000 s: full-size runs fit.
     let ma = Machine::new(&sim, "sender", 1 << 22);
     let mb = Machine::new(&sim, "receiver", 1 << 22);
@@ -341,7 +340,19 @@ pub fn ttcp_run_faulted(
     block_size: usize,
     plan: Option<FaultPlan>,
 ) -> TtcpResult {
-    let tb = build(sender, receiver);
+    ttcp_in(Sim::new(), sender, receiver, blocks, block_size, plan)
+}
+
+/// [`ttcp_run_faulted`] on `sim`, which it frees once the result is in.
+fn ttcp_in(
+    sim: Arc<Sim>,
+    sender: NetConfig,
+    receiver: NetConfig,
+    blocks: usize,
+    block_size: usize,
+    plan: Option<FaultPlan>,
+) -> TtcpResult {
+    let tb = build(sim, sender, receiver);
     if let Some(plan) = plan {
         tb.machine_a.faults().install(plan);
         tb.machine_b.faults().install(plan);
@@ -384,7 +395,7 @@ pub fn ttcp_run_faulted(
     });
     tb.sim.run();
     let elapsed = *finish.lock();
-    TtcpResult {
+    let result = TtcpResult {
         bytes: total as u64,
         elapsed_ns: elapsed,
         mbit_s: total as f64 * 8.0 / (elapsed as f64 / 1e9) / 1e6,
@@ -392,12 +403,19 @@ pub fn ttcp_run_faulted(
         receiver: tb.machine_b.tracer().metrics(),
         sender_faults: tb.machine_a.faults().stats(),
         receiver_faults: tb.machine_b.faults().stats(),
-    }
+    };
+    tb.sim.shutdown();
+    result
 }
 
 /// Runs rtcp: `round_trips` one-byte ping-pongs (paper Table 2).
 pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
-    let tb = build(config, config);
+    rtcp_in(Sim::new(), config, round_trips)
+}
+
+/// [`rtcp_run`] on `sim`, which it frees once the result is in.
+fn rtcp_in(sim: Arc<Sim>, config: NetConfig, round_trips: usize) -> RtcpResult {
+    let tb = build(sim, config, config);
     let elapsed = Arc::new(Mutex::new(0u64));
     let accept = tb.accept;
     tb.sim.spawn("rtcp-server", move || {
@@ -429,12 +447,14 @@ pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
     });
     tb.sim.run();
     let total_ns = *elapsed.lock();
-    RtcpResult {
+    let result = RtcpResult {
         round_trips: round_trips as u64,
         rtt_us: total_ns as f64 / round_trips as f64 / 1000.0,
         client: tb.machine_a.tracer().metrics(),
         server: tb.machine_b.tracer().metrics(),
-    }
+    };
+    tb.sim.shutdown();
+    result
 }
 
 /// One file-serving configuration of the `table3` benchmark.
@@ -486,6 +506,11 @@ pub struct FileServeResult {
 /// driver.  The client asserts the payload is byte-exact, so a passing
 /// sendfile run proves the lent cache pages carried the right bytes.
 pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
+    fileserve_in(Sim::new(), mode, kib)
+}
+
+/// [`fileserve_run`] on `sim`, which it frees once the result is in.
+fn fileserve_in(sim: Arc<Sim>, mode: ServeMode, kib: usize) -> FileServeResult {
     use oskit_com::interfaces::blkio::BlkIo;
     use oskit_com::interfaces::fs::FileSystem;
     use oskit_com::interfaces::socket::{Domain, Shutdown, SockAddr, SockType};
@@ -493,7 +518,6 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
     use oskit_netbsd_fs::FfsFileSystem;
 
     let size = kib * 1024;
-    let sim = Sim::new();
     sim.set_time_limit(10_000_000_000_000);
     let ms = Machine::new(&sim, "server", 1 << 22);
     let mc = Machine::new(&sim, "client", 1 << 22);
@@ -637,13 +661,15 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
 
     sim.run();
     let (bytes, elapsed_ns) = *done.lock();
-    FileServeResult {
+    let result = FileServeResult {
         bytes,
         elapsed_ns,
         mbit_s: bytes as f64 * 8.0 / (elapsed_ns as f64 / 1e9) / 1e6,
         server: ms.tracer().metrics(),
         client: mc.tracer().metrics(),
-    }
+    };
+    sim.shutdown();
+    result
 }
 
 #[cfg(test)]
@@ -712,6 +738,33 @@ mod tests {
             rx.receiver.total().bytes_copied,
             native.receiver.total().bytes_copied,
             "OSKit receiver must copy no more than native FreeBSD"
+        );
+    }
+
+    /// Once a harness returns, nothing keeps its simulation alive: no
+    /// pending timer, interrupt handler or exited process thread.
+    #[test]
+    fn harnesses_free_their_simulation() {
+        let freed = |run: &dyn Fn(Arc<Sim>)| {
+            let sim = Sim::new();
+            let weak = Arc::downgrade(&sim);
+            run(sim);
+            weak.upgrade().is_none()
+        };
+        for config in [NetConfig::linux(), NetConfig::freebsd(), NetConfig::oskit()] {
+            let name = config.name();
+            assert!(
+                freed(&|sim| drop(ttcp_in(sim, config, config, 16, 4096, None))),
+                "ttcp over {name} leaked its Sim"
+            );
+            assert!(
+                freed(&|sim| drop(rtcp_in(sim, config, 4))),
+                "rtcp over {name} leaked its Sim"
+            );
+        }
+        assert!(
+            freed(&|sim| drop(fileserve_in(sim, ServeMode::Sendfile, 16))),
+            "fileserve leaked its Sim"
         );
     }
 

@@ -18,6 +18,7 @@ use oskit_com::interfaces::blkio::BufIo;
 use oskit_com::interfaces::netio::{EtherDev, FnNetIo, NetIo};
 use oskit_com::interfaces::socket::SocketFactory;
 use oskit_com::{Error, Result};
+use oskit_machine::Machine;
 use oskit_osenv::OsEnv;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -61,9 +62,14 @@ pub fn open_ether_if(net: &Arc<BsdNet>, dev: &Arc<dyn EtherDev>) -> Result<Arc<I
     // using the map method of the bufio interface, and therefore never has
     // to copy the incoming data" (§5).  Batched (NAPI) delivery arrives as
     // consecutive pushes of the same shape: every frame of a poll batch
-    // still takes the zero-copy Ext-mbuf wrap.
-    let net2 = Arc::clone(net);
+    // still takes the zero-copy Ext-mbuf wrap.  The device holds this
+    // callback, and the stack holds the device through its ifnet, so the
+    // callback holds the stack weakly.
+    let weak = Arc::downgrade(net);
     let rx = FnNetIo::new(move |pkt: Arc<dyn BufIo>| {
+        let Some(net2) = weak.upgrade() else {
+            return Ok(());
+        };
         let b = oskit_machine::boundary!("freebsd-net", "rx_ether");
         let _span = net2.env.machine.span(b);
         net2.env.machine.charge_crossing_at(b); // Entering the BSD component.
@@ -95,8 +101,8 @@ pub fn open_ether_if(net: &Arc<BsdNet>, dev: &Arc<dyn EtherDev>) -> Result<Arc<I
     // dropped and retried, as on real hardware.)
     net.set_ifnet(Arc::clone(&ifp));
     let tx = dev.open(rx as Arc<dyn NetIo>)?;
-    let net3 = Arc::clone(net);
-    ifp.set_output(Arc::new(GlueOutput { tx, net: net3 }));
+    let machine = Arc::clone(&net.env.machine);
+    ifp.set_output(Arc::new(GlueOutput { tx, machine }));
     Ok(ifp)
 }
 
@@ -110,14 +116,14 @@ pub fn ifconfig(ifp: &Arc<Ifnet>, addr: Ipv4Addr, mask: Ipv4Addr) {
 /// *driver* must copy depends on the chain's contiguity (§4.7.3).
 struct GlueOutput {
     tx: Arc<dyn NetIo>,
-    net: Arc<BsdNet>,
+    machine: Arc<Machine>,
 }
 
 impl IfOutput for GlueOutput {
     fn output(&self, frame: MbufChain) {
         let b = oskit_machine::boundary!("freebsd-net", "tx_output");
-        let _span = self.net.env.machine.span(b);
-        self.net.env.machine.charge_crossing_at(b); // Leaving the BSD component.
+        let _span = self.machine.span(b);
+        self.machine.charge_crossing_at(b); // Leaving the BSD component.
         let pkt = MbufBufIo::new(frame);
         let _ = self.tx.push(pkt as Arc<dyn BufIo>);
     }

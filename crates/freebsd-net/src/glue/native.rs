@@ -22,12 +22,15 @@ pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
     let nic2 = Arc::clone(nic);
     ifp.set_output(Arc::new(NativeOutput { nic: nic2 }));
     // Receive: hardware DMA fills a cluster; the interrupt handler hands
-    // the chain straight to `ether_input`.
-    let net2 = Arc::clone(net);
+    // the chain straight to `ether_input`.  The machine owns the handler,
+    // so it holds the stack (and through it the machine) only weakly.
+    let weak = Arc::downgrade(net);
     let nic3 = Arc::clone(nic);
-    let machine = Arc::clone(&net.env.machine);
     net.env.machine.irq.install(nic.irq_line(), move |_| {
-        machine.charge_rx_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
+        let Some(net2) = weak.upgrade() else { return };
+        net2.env
+            .machine
+            .charge_rx_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
         while let Some(frame) = nic3.rx_pop() {
             // The DMA target cluster, wrapped without a CPU copy.
             let len = frame.len();

@@ -1,10 +1,12 @@
 //! Failure injection: a lossy wire forces the BSD TCP's recovery
 //! machinery — retransmission timeouts, go-back, fast retransmit on
 //! duplicate ACKs — to actually run, and the transfer must still be
-//! byte-exact.
+//! byte-exact.  Frames are lost by a seeded [`FaultPlan`] installed on
+//! the machine whose transmit direction should lose them, and counted in
+//! that machine's fault ledger.
 
 use oskit_freebsd_net::{attach_native_if, ifconfig, oskit_freebsd_net_init, TcpSock};
-use oskit_machine::{FaultPlan, FaultSnapshot, Machine, Nic, NicFaults, Sim, WireConfig};
+use oskit_machine::{FaultPlan, FaultSnapshot, Machine, Nic, NicFaults, Sim};
 use oskit_osenv::OsEnv;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -23,33 +25,33 @@ enum LossDir {
     Ack,
 }
 
-/// One byte-exact transfer under loss.  `drop_every` configures the
-/// periodic wire-level drop in `dir`; `plan` additionally installs a
-/// seeded fault plan on the *sender's* machine.  Returns (segments sent,
-/// frames dropped a-side, frames dropped b-side, sender fault ledger).
-fn lossy_transfer_cfg(
-    drop_every: Option<u64>,
+/// A seeded plan that destroys `drop_per_mille` of the frames its
+/// machine transmits.
+fn drops(seed: u64, drop_per_mille: u16) -> FaultPlan {
+    FaultPlan::new(seed).nic(NicFaults {
+        drop_per_mille,
+        ..NicFaults::default()
+    })
+}
+
+/// One byte-exact transfer, a → b, with `plan` installed on the machine
+/// that transmits in `dir`.  Returns (segments sent, a's fault ledger,
+/// b's fault ledger).
+fn lossy_transfer(
     dir: LossDir,
-    plan: Option<FaultPlan>,
+    plan: FaultPlan,
     total: usize,
-) -> (u64, u64, u64, FaultSnapshot) {
+) -> (u64, FaultSnapshot, FaultSnapshot) {
     let sim = Sim::new();
     // Loss recovery leans on 1-second RTOs; give it room.
     sim.set_time_limit(5_000_000_000_000);
     let ma = Machine::new(&sim, "a", 1 << 21);
     let mb = Machine::new(&sim, "b", 1 << 21);
-    let cfg = WireConfig {
-        drop_every,
-        ..WireConfig::default()
-    };
-    let (cfg_a, cfg_b) = match dir {
-        LossDir::Data => (cfg, WireConfig::default()),
-        LossDir::Ack => (WireConfig::default(), cfg),
-    };
-    let na = Nic::with_config(&ma, [2, 0, 0, 0, 0, 1], cfg_a);
-    let nb = Nic::with_config(&mb, [2, 0, 0, 0, 0, 2], cfg_b);
-    if let Some(plan) = plan {
-        ma.faults().install(plan);
+    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 1]);
+    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
+    match dir {
+        LossDir::Data => ma.faults().install(plan),
+        LossDir::Ack => mb.faults().install(plan),
     }
     Nic::connect(&na, &nb);
     let ea = OsEnv::new(&ma);
@@ -111,24 +113,14 @@ fn lossy_transfer_cfg(
     });
     sim.run();
     let (tx, _) = *sent_stats.lock().unwrap();
-    (
-        tx,
-        na.wire_dropped(),
-        nb.wire_dropped(),
-        ma.faults().stats(),
-    )
-}
-
-/// The original shape: periodic loss on the data direction.
-fn lossy_transfer(drop_every: u64, total: usize) -> (u64, u64) {
-    let (tx, dropped_a, _, _) = lossy_transfer_cfg(Some(drop_every), LossDir::Data, None, total);
-    (tx, dropped_a)
+    (tx, ma.faults().stats(), mb.faults().stats())
 }
 
 #[test]
 fn survives_one_percent_loss() {
     let total = 200_000;
-    let (segs_sent, dropped) = lossy_transfer(100, total);
+    let (segs_sent, a, _) = lossy_transfer(LossDir::Data, drops(1, 10), total);
+    let dropped = a.tx_dropped;
     assert!(dropped > 0, "fault injection did not fire");
     // Every dropped segment had to be retransmitted: more segments than
     // the lossless minimum.
@@ -141,11 +133,11 @@ fn survives_one_percent_loss() {
 
 #[test]
 fn survives_heavy_ten_percent_loss() {
-    // Brutal: every 10th data frame vanishes.  Correctness must hold even
-    // when fast retransmit and RTO interact.
+    // Brutal: one data-direction frame in ten vanishes.  Correctness must
+    // hold even when fast retransmit and RTO interact.
     let total = 60_000;
-    let (_segs, dropped) = lossy_transfer(10, total);
-    assert!(dropped >= 4);
+    let (_segs, a, _) = lossy_transfer(LossDir::Data, drops(1, 100), total);
+    assert!(a.tx_dropped >= 4);
 }
 
 #[test]
@@ -155,10 +147,9 @@ fn survives_ack_direction_loss() {
     // receiver discards the duplicates.  The byte-exactness assertion
     // lives in the server loop.
     let total = 120_000;
-    let (segs_sent, dropped_a, dropped_b, _) =
-        lossy_transfer_cfg(Some(25), LossDir::Ack, None, total);
-    assert_eq!(dropped_a, 0, "data direction must be clean");
-    assert!(dropped_b > 0, "ACK-direction loss did not fire");
+    let (segs_sent, a, b) = lossy_transfer(LossDir::Ack, drops(1, 40), total);
+    assert_eq!(a.tx_dropped, 0, "data direction must be clean");
+    assert!(b.tx_dropped > 0, "ACK-direction loss did not fire");
     // Lost ACKs force duplicate data transmissions.
     let ideal = (total / 1460 + 3) as u64;
     assert!(
@@ -169,40 +160,36 @@ fn survives_ack_direction_loss() {
 
 #[test]
 fn survives_seeded_burst_drops() {
-    // The fault substrate instead of the periodic wire hook: seeded
-    // random drops arriving in bursts of three — the pattern (back-to-
-    // back losses inside one window) that defeats plain fast retransmit
-    // and forces the RTO path.
+    // Seeded random drops arriving in bursts of three — the pattern
+    // (back-to-back losses inside one window) that defeats plain fast
+    // retransmit and forces the RTO path.
     let plan = FaultPlan::new(0xB0B5).nic(NicFaults {
         drop_per_mille: 8,
         burst_len: 3,
         ..NicFaults::default()
     });
     let total = 120_000;
-    let (_, _, _, ledger) = lossy_transfer_cfg(None, LossDir::Data, Some(plan), total);
+    let (_, ledger, _) = lossy_transfer(LossDir::Data, plan, total);
     assert!(
         ledger.tx_dropped >= 3,
         "burst drops did not fire: {ledger:?}"
     );
     // Replay determinism across the whole TCP recovery dance.
-    let (_, _, _, ledger2) = lossy_transfer_cfg(None, LossDir::Data, Some(plan), total);
+    let (_, ledger2, _) = lossy_transfer(LossDir::Data, plan, total);
     assert_eq!(ledger, ledger2, "same seed must reproduce the ledger");
 }
 
 #[test]
 fn handshake_survives_syn_loss() {
-    // Drop the very first frame (the SYN): connect must retransmit it
-    // after the RTO and still succeed.
+    // Half the client's frames die, the handshake's among them: connect
+    // must retransmit after the RTO and still succeed.
     let sim = Sim::new();
     sim.set_time_limit(5_000_000_000_000);
     let ma = Machine::new(&sim, "a", 1 << 20);
     let mb = Machine::new(&sim, "b", 1 << 20);
-    let cfg = WireConfig {
-        drop_every: Some(2), // First ARP survives... every 2nd frame dies.
-        ..WireConfig::default()
-    };
-    let na = Nic::with_config(&ma, [2, 0, 0, 0, 0, 1], cfg);
+    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 1]);
     let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
+    ma.faults().install(drops(1, 500));
     Nic::connect(&na, &nb);
     let ea = OsEnv::new(&ma);
     let eb = OsEnv::new(&mb);
@@ -229,9 +216,14 @@ fn handshake_survives_syn_loss() {
         while conn.recv(&mut d).unwrap() != 0 {}
     });
     let na2 = Arc::clone(&net_a);
+    let ma2 = Arc::clone(&ma);
+    // (frames lost, segments sent) when connect returned.
+    let handshake = Arc::new(std::sync::Mutex::new((0u64, 0u64)));
+    let hs = Arc::clone(&handshake);
     sim.spawn("client", move || {
         let s = TcpSock::new(&na2);
         s.connect(IP_B, 7).unwrap();
+        *hs.lock().unwrap() = (ma2.faults().stats().tx_dropped, s.seg_stats().0);
         s.send(b"ping").unwrap();
         let mut b = [0u8; 16];
         let n = s.recv(&mut b).unwrap();
@@ -240,5 +232,12 @@ fn handshake_survives_syn_loss() {
         while s.recv(&mut b).unwrap() != 0 {}
     });
     sim.run();
-    assert!(na.wire_dropped() > 0);
+    let (lost, segs) = *handshake.lock().unwrap();
+    assert!(lost > 0, "no frame was lost before connect returned");
+    // A lossless handshake sends SYN and ACK; more means connect
+    // retransmitted the SYN.
+    assert!(
+        segs > 2,
+        "connect recovered without a retransmission: {segs}"
+    );
 }

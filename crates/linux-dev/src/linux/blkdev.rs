@@ -94,10 +94,14 @@ impl IdeDrive {
                 head_pos: 0,
             }),
         });
+        // Weak: the machine owns its interrupt controller, so a strong
+        // reference from a handler would keep the machine alive forever.
         let weak: Weak<IdeDrive> = Arc::downgrade(&drive);
-        let machine = Arc::clone(&env.machine);
+        let machine = Arc::downgrade(&env.machine);
         env.machine.irq.install(hw.irq_line(), move |_| {
-            let Some(d) = weak.upgrade() else { return };
+            let (Some(d), Some(machine)) = (weak.upgrade(), machine.upgrade()) else {
+                return;
+            };
             machine.charge_irq_at(oskit_machine::boundary!("linux-dev", "blk_intr"));
             d.intr();
         });

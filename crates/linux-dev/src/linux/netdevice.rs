@@ -144,10 +144,13 @@ impl NetDevice {
             *opened = true;
         }
         let napi = self.napi_active();
+        // Weak: the machine owns the handler (see `IdeDrive::new`).
         let weak: Weak<NetDevice> = Arc::downgrade(self);
-        let machine = Arc::clone(&self.env.machine);
+        let machine = Arc::downgrade(&self.env.machine);
         self.env.machine.irq.install(self.hw.irq_line(), move |_| {
-            let Some(dev) = weak.upgrade() else { return };
+            let (Some(dev), Some(machine)) = (weak.upgrade(), machine.upgrade()) else {
+                return;
+            };
             machine.charge_rx_irq_at(oskit_machine::boundary!("linux-dev", "net_intr"));
             if napi {
                 dev.napi_schedule();

@@ -33,10 +33,6 @@ pub struct WireConfig {
     pub bits_per_sec: u64,
     /// One-way propagation + PHY latency in ns.
     pub latency_ns: Ns,
-    /// Deterministic fault injection: drop every Nth transmitted frame
-    /// (None = lossless).  Real Ethernet loses frames to collisions and
-    /// overruns; TCP must recover.
-    pub drop_every: Option<u64>,
 }
 
 impl Default for WireConfig {
@@ -44,7 +40,6 @@ impl Default for WireConfig {
         WireConfig {
             bits_per_sec: 100_000_000,
             latency_ns: 1_000,
-            drop_every: None,
         }
     }
 }
@@ -108,8 +103,6 @@ pub struct Nic {
     rx_ring: Mutex<VecDeque<Vec<u8>>>,
     rx_capacity: usize,
     rx_dropped: AtomicU64,
-    tx_count: AtomicU64,
-    wire_dropped: AtomicU64,
     /// Frames the driver offered for transmission (includes frames a
     /// wedged transmitter ate).
     tx_offered: AtomicU64,
@@ -142,18 +135,15 @@ pub struct Nic {
 }
 
 impl Nic {
-    /// Attaches a NIC with the given MAC on IRQ 10.
+    /// Attaches a NIC with the given MAC on IRQ 10, on a default
+    /// [`WireConfig`] link.  Frames are lost only by the machine's
+    /// [`FaultPlan`](oskit_fault::FaultPlan).
     pub fn new(machine: &Arc<Machine>, mac: [u8; 6]) -> Arc<Nic> {
-        Self::with_config(machine, mac, WireConfig::default())
-    }
-
-    /// Attaches a NIC with explicit link parameters.
-    pub fn with_config(machine: &Arc<Machine>, mac: [u8; 6], config: WireConfig) -> Arc<Nic> {
         Arc::new(Nic {
             machine: Arc::downgrade(machine),
             mac,
             irq_line: crate::irq::lines::ETHER,
-            config,
+            config: WireConfig::default(),
             peer: Mutex::new(None),
             tx_dir: WireDir {
                 next_free: Mutex::new(0),
@@ -161,8 +151,6 @@ impl Nic {
             rx_ring: Mutex::new(VecDeque::new()),
             rx_capacity: 64,
             rx_dropped: AtomicU64::new(0),
-            tx_count: AtomicU64::new(0),
-            wire_dropped: AtomicU64::new(0),
             tx_offered: AtomicU64::new(0),
             tx_wire: AtomicU64::new(0),
             rx_irq_armed: AtomicBool::new(true),
@@ -257,22 +245,12 @@ impl Nic {
         self.tx_offered.fetch_add(1, Ordering::Relaxed);
         // Scripted faults: a wedged transmitter eats the frame before it
         // reaches the wire (tx_wire stalls — the watchdog's signal); a
-        // scheduled drop behaves like the drop_every hook below.
-        let injected = match machine.faults().nic_tx_fault(machine.cpu_now()) {
+        // dropped frame occupies the wire but never arrives.
+        let dropped = match machine.faults().nic_tx_fault(machine.cpu_now()) {
             NicTxFault::Wedged => return,
             NicTxFault::Dropped => true,
             NicTxFault::None => false,
         };
-        // Fault injection: the frame occupies the wire but never arrives.
-        let n = self.tx_count.fetch_add(1, Ordering::Relaxed) + 1;
-        let dropped = injected
-            || self
-                .config
-                .drop_every
-                .is_some_and(|every| n.is_multiple_of(every));
-        if dropped {
-            self.wire_dropped.fetch_add(1, Ordering::Relaxed);
-        }
         self.tx_wire.fetch_add(1, Ordering::Relaxed);
         let peer = self.peer.lock().clone();
         let Some(peer) = peer.and_then(|w| w.upgrade()) else {
@@ -290,11 +268,6 @@ impl Nic {
         let arrival = start + self.config.latency_ns;
         let sim = Arc::clone(&machine.sim);
         sim.at_abs(arrival, move || peer.wire_deliver(frame));
-    }
-
-    /// Frames destroyed by injected wire faults.
-    pub fn wire_dropped(&self) -> u64 {
-        self.wire_dropped.load(Ordering::Relaxed)
     }
 
     /// Frames the driver has offered for transmission, including frames a

@@ -25,6 +25,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Virtual nanoseconds since simulation start.
 pub type Ns = u64;
@@ -33,7 +34,7 @@ pub type Ns = u64;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Tid(usize);
 
-/// Identifies a scheduled event, for cancellation.
+/// Identifies a scheduled event, for cancellation: its sequence number.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct EventId(u64);
 
@@ -41,8 +42,9 @@ type Action = Box<dyn FnOnce() + Send>;
 
 struct Event {
     time: Ns,
+    /// Scheduling order, which breaks ties between equal times; also the
+    /// event's [`EventId`].
     seq: u64,
-    id: EventId,
     action: Action,
 }
 
@@ -86,12 +88,13 @@ struct Slot {
     /// Where this thread parks until it holds the token; waited on with
     /// the scheduler mutex, notified only when the token reaches it.
     cv: Arc<Condvar>,
+    /// The host thread, joined by [`Sim::shutdown`] once it has exited.
+    thread: Option<JoinHandle<()>>,
 }
 
 struct Inner {
     time: Ns,
     seq: u64,
-    next_event_id: u64,
     events: BinaryHeap<Event>,
     cancelled: std::collections::HashSet<u64>,
     ready: VecDeque<Tid>,
@@ -123,7 +126,6 @@ impl Sim {
             inner: Mutex::new(Inner {
                 time: 0,
                 seq: 0,
-                next_event_id: 0,
                 events: BinaryHeap::new(),
                 cancelled: std::collections::HashSet::new(),
                 ready: VecDeque::new(),
@@ -132,6 +134,7 @@ impl Sim {
                     name: "harness".into(),
                     state: ThreadState::Running,
                     cv: Arc::new(Condvar::new()),
+                    thread: None,
                 }],
                 alive: 0,
                 failure: None,
@@ -182,16 +185,18 @@ impl Sim {
                 name: name.clone(),
                 state: ThreadState::Ready,
                 cv: Arc::new(Condvar::new()),
+                thread: None,
             });
             inner.ready.push_back(tid);
             inner.alive += 1;
             tid
         };
         let sim = Arc::clone(self);
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(name)
             .spawn(move || sim.thread_main(tid, f))
             .expect("spawn failed");
+        self.lock().slots[tid.0].thread = Some(thread);
         tid
     }
 
@@ -253,6 +258,33 @@ impl Sim {
         }
     }
 
+    /// Frees a finished simulation: drops the pending events (an armed
+    /// timer holds its machine, and a machine holds the `Sim`) and joins
+    /// the exited process threads (each holds the `Sim` until it has
+    /// passed the token on).  Called by the harness once it has collected
+    /// its results; [`Sim::run`] tears nothing down, so one `Sim` may be
+    /// run several times before this.
+    pub fn shutdown(&self) {
+        let (events, threads) = {
+            let mut inner = self.lock();
+            inner.cancelled.clear();
+            let threads: Vec<_> = inner
+                .slots
+                .iter_mut()
+                .filter(|s| s.state == ThreadState::Dead)
+                .filter_map(|s| s.thread.take())
+                .collect();
+            (std::mem::take(&mut inner.events), threads)
+        };
+        // Outside the lock: an event's captures may call back into the
+        // scheduler as they drop.
+        drop(events);
+        for t in threads {
+            // A body's panic was caught and reported by `run`.
+            t.join().expect("sim thread panicked outside its body");
+        }
+    }
+
     /// Schedules `action` to run at interrupt level `delay` ns after the
     /// current event clock.
     pub fn at(&self, delay: Ns, action: impl FnOnce() + Send + 'static) -> EventId {
@@ -277,16 +309,13 @@ impl Sim {
             None => inner.time + delay,
         };
         inner.seq += 1;
-        inner.next_event_id += 1;
-        let id = EventId(inner.next_event_id);
         let seq = inner.seq;
         inner.events.push(Event {
             time,
             seq,
-            id,
             action: Box::new(action),
         });
-        id
+        EventId(seq)
     }
 
     /// Cancels a scheduled event.  A no-op if it already ran.
@@ -337,7 +366,7 @@ impl Sim {
     ) -> (MutexGuard<'a, Inner>, bool) {
         let ev = loop {
             match inner.events.pop() {
-                Some(ev) if inner.cancelled.remove(&ev.id.0) => continue,
+                Some(ev) if inner.cancelled.remove(&ev.seq) => continue,
                 other => break other,
             }
         };
@@ -815,6 +844,25 @@ mod tests {
             rec.wait(&s2);
         });
         sim.run();
+    }
+
+    #[test]
+    fn shutdown_frees_pending_events_and_threads() {
+        let sim = Sim::new();
+        let weak = Arc::downgrade(&sim);
+        let s2 = Arc::clone(&sim);
+        sim.spawn("t", move || {
+            // A timer that outlives the run holds the Sim.
+            let s3 = Arc::clone(&s2);
+            s2.at(1_000, move || drop(s3));
+        });
+        sim.run();
+        sim.shutdown();
+        drop(sim);
+        assert!(
+            weak.upgrade().is_none(),
+            "a finished Sim outlived its harness"
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The file system core — NetBSD's `ffs_alloc.c`/`ufs_bmap.c`/
 //! `ufs_lookup.c` reshaped onto the OFFS layout.
 
-use super::buf::BufCache;
 use super::ondisk::{
     layout, mode, Dinode, DiskDirent, Superblock, BLOCK_SIZE, DIRENT_SIZE, INODES_PER_BLOCK,
     INODE_SIZE, MAX_NAME, NDADDR, NINDIR, ROOT_INO,
 };
-use oskit_bufcache::{CachedBlock, MAXPHYS};
+use oskit_bufcache::{BufCache, CachedBlock, MAXPHYS};
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, VecBufIo};
 use oskit_com::interfaces::fs::FileExtent;
 use oskit_com::{Error, Result};
+use oskit_machine::Machine;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +36,7 @@ impl FsCore {
             return Err(Error::NoSpace);
         }
         let sb = layout(nblocks);
-        let cache = BufCache::new(Arc::clone(dev), 64);
+        let cache = BufCache::new(dev, BLOCK_SIZE, 64, None);
         // Zero the metadata region.
         for blk in 0..sb.data_start {
             cache.bwrite_full(blk, &vec![0u8; BLOCK_SIZE])?;
@@ -54,17 +54,20 @@ impl FsCore {
         cache.bwrite_full(0, &sb.encode())?;
         cache.sync()?;
         // Populate "." and ".." through a mounted core.
-        let core = FsCore::mount(dev)?;
+        let core = FsCore::mount(dev, None)?;
         core.dir_enter(ROOT_INO, ".", ROOT_INO)?;
         core.dir_enter(ROOT_INO, "..", ROOT_INO)?;
         core.sync()?;
         Ok(())
     }
 
-    /// Mounts an existing file system.
-    pub fn mount(dev: &Arc<dyn BlkIo>) -> Result<Arc<FsCore>> {
-        let cache = BufCache::new(Arc::clone(dev), 256);
-        let sb = cache.bread(0, Superblock::decode)?.ok_or(Error::Inval)?;
+    /// Mounts an existing file system.  The buffer cache books its hits,
+    /// misses and evictions in `machine`'s ledger, if one is given.
+    pub fn mount(dev: &Arc<dyn BlkIo>, machine: Option<Arc<Machine>>) -> Result<Arc<FsCore>> {
+        let cache = BufCache::new(dev, BLOCK_SIZE, 256, machine);
+        let sb = cache
+            .bread_with(0, Superblock::decode)?
+            .ok_or(Error::Inval)?;
         Ok(Arc::new(FsCore {
             cache,
             sb: Mutex::new(sb),
@@ -209,7 +212,7 @@ impl FsCore {
         let blk = sb.itable_start + ino / INODES_PER_BLOCK as u32;
         let off = (ino as usize % INODES_PER_BLOCK) * INODE_SIZE;
         self.cache
-            .bread(blk, |b| Dinode::decode(&b[off..off + INODE_SIZE]))
+            .bread_with(blk, |b| Dinode::decode(&b[off..off + INODE_SIZE]))
     }
 
     /// Writes inode `ino`.
@@ -280,7 +283,7 @@ impl FsCore {
         alloc: bool,
         maxrun: usize,
     ) -> Result<(u32, usize)> {
-        let (existing, run) = self.cache.bread(iblk, |b| {
+        let (existing, run) = self.cache.bread_with(iblk, |b| {
             let ptr =
                 |i: usize| u32::from_le_bytes([b[i * 4], b[i * 4 + 1], b[i * 4 + 2], b[i * 4 + 3]]);
             (ptr(index), run_of((index..NINDIR).map(ptr), maxrun))
@@ -472,7 +475,7 @@ impl FsCore {
     }
 
     fn free_indir(&self, iblk: u32, depth: u32) -> Result<()> {
-        let entries: Vec<u32> = self.cache.bread(iblk, |b| {
+        let entries: Vec<u32> = self.cache.bread_with(iblk, |b| {
             (0..NINDIR)
                 .map(|i| u32::from_le_bytes([b[i * 4], b[i * 4 + 1], b[i * 4 + 2], b[i * 4 + 3]]))
                 .filter(|&e| e != 0)
@@ -493,7 +496,7 @@ impl FsCore {
     /// `iblk`, as in [`FsCore::free_indir`].
     fn free_indir_partial(&self, iblk: u32, keep: usize, depth: u32) -> Result<()> {
         let span = NINDIR.pow(depth);
-        let entries: Vec<(usize, u32)> = self.cache.bread(iblk, |b| {
+        let entries: Vec<(usize, u32)> = self.cache.bread_with(iblk, |b| {
             (keep / span..NINDIR)
                 .map(|i| {
                     (
@@ -700,7 +703,7 @@ mod tests {
     fn fresh_fs(blocks: usize) -> Arc<FsCore> {
         let dev = VecBufIo::with_len(blocks * BLOCK_SIZE) as Arc<dyn BlkIo>;
         FsCore::mkfs(&dev).unwrap();
-        FsCore::mount(&dev).unwrap()
+        FsCore::mount(&dev, None).unwrap()
     }
 
     #[test]
@@ -884,7 +887,10 @@ mod tests {
 
     #[test]
     fn dir_lookup_reads_a_directory_block_by_block() {
-        let fs = fresh_fs(1024);
+        let dev = VecBufIo::with_len(1024 * BLOCK_SIZE) as Arc<dyn BlkIo>;
+        FsCore::mkfs(&dev).unwrap();
+        let m = Machine::new(&oskit_machine::Sim::new(), "fs", 4096);
+        let fs = FsCore::mount(&dev, Some(Arc::clone(&m))).unwrap();
         for i in 0..100 {
             let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
             fs.dir_enter(ROOT_INO, &format!("f{i:03}"), ino).unwrap();
@@ -895,10 +901,10 @@ mod tests {
             .size
             .div_ceil(BLOCK_SIZE as u64);
         assert!(dir_blocks >= 2);
-        let (hits0, misses0) = fs.cache().stats();
+        let w0 = m.work();
         assert!(fs.dir_lookup(ROOT_INO, "f099").unwrap().is_some());
-        let (hits1, misses1) = fs.cache().stats();
-        let lookups = (hits1 - hits0) + (misses1 - misses0);
+        let w1 = m.work();
+        let lookups = (w1.cache_hits - w0.cache_hits) + (w1.cache_misses - w0.cache_misses);
         // One lookup per directory block, plus the directory's inode.
         assert!(
             lookups <= dir_blocks + 1,
@@ -919,13 +925,13 @@ mod tests {
         let dev = VecBufIo::with_len(256 * BLOCK_SIZE) as Arc<dyn BlkIo>;
         FsCore::mkfs(&dev).unwrap();
         {
-            let fs = FsCore::mount(&dev).unwrap();
+            let fs = FsCore::mount(&dev, None).unwrap();
             let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
             fs.file_write(ino, b"survive remount", 0).unwrap();
             fs.dir_enter(ROOT_INO, "persist.txt", ino).unwrap();
             fs.unmount().unwrap();
         }
-        let fs = FsCore::mount(&dev).unwrap();
+        let fs = FsCore::mount(&dev, None).unwrap();
         let ino = fs.dir_lookup(ROOT_INO, "persist.txt").unwrap().unwrap();
         let mut buf = [0u8; 32];
         let n = fs.file_read(ino, &mut buf, 0).unwrap();

@@ -116,7 +116,7 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
         let blk = sb.data_start + rel;
         let bit_blk = sb.bbmap_start + rel / (BLOCK_SIZE * 8) as u32;
         let within = rel % (BLOCK_SIZE * 8) as u32;
-        let marked = fs.cache().bread(bit_blk, |b| {
+        let marked = fs.cache().bread_with(bit_blk, |b| {
             b[(within / 8) as usize] & (1 << (within % 8)) != 0
         })?;
         let referenced = owner.contains_key(&blk);
@@ -196,11 +196,12 @@ fn data_past_eof(fs: &FsCore, d: &Dinode) -> Result<bool> {
     if blk == 0 {
         return Ok(false);
     }
-    fs.cache().bread(blk, |b| b[tail..].iter().any(|&x| x != 0))
+    fs.cache()
+        .bread_with(blk, |b| b[tail..].iter().any(|&x| x != 0))
 }
 
 fn read_indir(fs: &FsCore, iblk: u32) -> Result<Vec<u32>> {
-    fs.cache().bread(iblk, |b| {
+    fs.cache().bread_with(iblk, |b| {
         (0..NINDIR)
             .map(|i| u32::from_le_bytes([b[i * 4], b[i * 4 + 1], b[i * 4 + 2], b[i * 4 + 3]]))
             .filter(|&e| e != 0)
@@ -226,7 +227,7 @@ mod tests {
     fn fresh() -> (Arc<dyn BlkIo>, Arc<FsCore>) {
         let dev = VecBufIo::with_len(512 * BLOCK_SIZE) as Arc<dyn BlkIo>;
         FsCore::mkfs(&dev).unwrap();
-        (Arc::clone(&dev), FsCore::mount(&dev).unwrap())
+        (Arc::clone(&dev), FsCore::mount(&dev, None).unwrap())
     }
 
     #[test]

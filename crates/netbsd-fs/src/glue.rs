@@ -74,8 +74,7 @@ impl FfsFileSystem {
     /// Mounts within a simulated kernel: operations are serialized by a
     /// component lock and crossings are charged.
     pub fn mount_on(env: &Arc<OsEnv>, dev: &Arc<dyn BlkIo>) -> Result<Arc<FfsFileSystem>> {
-        let core = FsCore::mount(dev)?;
-        core.cache().attach_machine(&env.machine);
+        let core = FsCore::mount(dev, Some(Arc::clone(&env.machine)))?;
         oskit_com::registry::register(oskit_com::registry::ComponentDesc {
             name: "netbsd_fs",
             library: "liboskit_netbsd_fs",
@@ -100,7 +99,7 @@ impl FfsFileSystem {
 
     /// Mounts for host-thread use (tests, tools): no locking, no charges.
     pub fn mount_ram(dev: &Arc<dyn BlkIo>) -> Result<Arc<FfsFileSystem>> {
-        let core = FsCore::mount(dev)?;
+        let core = FsCore::mount(dev, None)?;
         Ok(new_com(
             FfsFileSystem {
                 me: SelfRef::new(),
@@ -119,9 +118,9 @@ impl FfsFileSystem {
         crate::ffs::fsck::fsck(&self.mount.core)
     }
 
-    /// The mount's buffer cache (diagnostics: residency, pins, counters).
+    /// The mount's buffer cache (diagnostics: residency and pins).
     pub fn buffer_cache(&self) -> &oskit_bufcache::BufCache {
-        self.mount.core.cache().shared()
+        self.mount.core.cache()
     }
 }
 

@@ -5,15 +5,15 @@
 //! was chosen ... because its file system code is the most cleanly
 //! separated of the available systems."
 //!
-//! [`ffs`] is the donor-idiom code: an FFS-shaped on-disk format, the
-//! `bread`/`bwrite` buffer cache, block/inode allocators, `bmap` with
-//! indirect blocks, directory management, and `fsck`.  [`glue`] exports it
+//! [`ffs`] is the donor-idiom code: an FFS-shaped on-disk format,
+//! block/inode allocators, `bmap` with indirect blocks, directory
+//! management, and `fsck`, all reading and writing blocks through the
+//! shared [`oskit_bufcache::BufCache`] (`bread`/`bdwrite`).  [`glue`] exports it
 //! through the single-pathname-component COM interfaces that made the
 //! paper's secure file server possible without touching these internals.
 
 pub mod ffs {
     //! The donor-idiom file system code.
-    pub mod buf;
     pub mod fs;
     pub mod fsck;
     pub mod ondisk;

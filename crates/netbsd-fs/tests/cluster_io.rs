@@ -8,6 +8,7 @@
 use oskit_bufcache::MAXPHYS;
 use oskit_com::interfaces::blkio::{BlkIo, VecBufIo};
 use oskit_com::{AnyRef, Guid, IUnknown, Result};
+use oskit_machine::{Machine, Sim};
 use oskit_netbsd_fs::ffs::ondisk::{mode, INODES_PER_BLOCK, NDADDR, NINDIR};
 use oskit_netbsd_fs::{FsCore, BLOCK_SIZE};
 use parking_lot::Mutex;
@@ -117,12 +118,13 @@ fn direct_then_64(fs: &FsCore) -> (u32, Vec<u32>) {
 #[test]
 fn cold_sequential_read_issues_one_request_per_maxphys() {
     let (log, dev) = volume(1024);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let (ino, map) = direct_then_64(&fs);
     let indirect = fs.read_inode(ino).unwrap().indirect;
     fs.unmount().unwrap();
 
-    let fs = FsCore::mount(&dev).unwrap();
+    let machine = Machine::new(&Sim::new(), "fs", 4096);
+    let fs = FsCore::mount(&dev, Some(Arc::clone(&machine))).unwrap();
     log.take();
     // A 1-byte read still fills the whole run: the caller's request size
     // never caps a cluster.
@@ -152,19 +154,19 @@ fn cold_sequential_read_issues_one_request_per_maxphys() {
         .map(|k| (false, map[NDADDR + k * RUN], RUN))
         .collect();
     assert_eq!(log.take(), want);
-    let (hits, misses) = fs.cache().stats();
+    let work = machine.work();
     assert_eq!(
-        misses,
+        work.cache_misses,
         1 + 1 + 1 + 4,
         "superblock, inode, direct run with the indirect, 4 runs"
     );
-    assert!(hits >= map.len() as u64);
+    assert!(work.cache_hits >= map.len() as u64);
 }
 
 #[test]
 fn sync_of_64_contiguous_dirty_blocks_issues_4_data_writes() {
     let (log, dev) = volume(1024);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let (ino, map) = direct_then_64(&fs);
     fs.sync().unwrap();
     // Overwrite the 64 indirect-mapped blocks in place (full blocks, so
@@ -183,7 +185,7 @@ fn same_size_overwrite_and_sync_reads_nothing() {
     // A 41-block file whose last block is partial: an overwrite of the
     // same size, cold except for what reading its first byte brought in.
     let (log, dev) = volume(1024);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
     let size = 40 * BLOCK_SIZE + 1000;
     let old: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
@@ -191,7 +193,7 @@ fn same_size_overwrite_and_sync_reads_nothing() {
     let map = block_map(&fs, ino, 41);
     fs.unmount().unwrap();
 
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     log.take();
     let mut byte = [0u8; 1];
     fs.file_read(ino, &mut byte, 0).unwrap();
@@ -210,7 +212,7 @@ fn same_size_overwrite_and_sync_reads_nothing() {
         "no read, no superblock: the inode and the data runs"
     );
     fs.unmount().unwrap();
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let mut back = vec![0u8; size + 1];
     assert_eq!(fs.file_read(ino, &mut back, 0).unwrap(), size);
     assert_eq!(&back[..size], &new[..]);
@@ -219,7 +221,7 @@ fn same_size_overwrite_and_sync_reads_nothing() {
 #[test]
 fn the_superblock_is_written_once_per_modification() {
     let (log, dev) = volume(256);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
     write_blocks(&fs, ino, 0..1);
     log.take();
@@ -235,13 +237,13 @@ fn the_superblock_is_written_once_per_modification() {
 #[test]
 fn a_partial_write_short_of_eof_reads_the_block_first() {
     let (log, dev) = volume(256);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
     write_blocks(&fs, ino, 0..3);
     let map = block_map(&fs, ino, 3);
     fs.unmount().unwrap();
 
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     log.take();
     // From the block's start, but short of EOF.
     fs.file_write(ino, &[0xEE; 100], 0).unwrap();
@@ -265,7 +267,7 @@ fn a_partial_write_short_of_eof_reads_the_block_first() {
 #[test]
 fn a_run_takes_no_indirect_block_that_is_not_next_on_disk() {
     let (log, dev) = volume(256);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let f = fs.ialloc(mode::IFREG | 0o644).unwrap();
     let g = fs.ialloc(mode::IFREG | 0o644).unwrap();
     write_blocks(&fs, f, 0..NDADDR);
@@ -277,7 +279,7 @@ fn a_run_takes_no_indirect_block_that_is_not_next_on_disk() {
     assert_eq!(map[NDADDR], indirect + 1);
     fs.unmount().unwrap();
 
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     log.take();
     let mut back = vec![0u8; (NDADDR + 2) * BLOCK_SIZE];
     fs.file_read(f, &mut back, 0).unwrap();
@@ -296,7 +298,7 @@ fn a_run_takes_no_indirect_block_that_is_not_next_on_disk() {
 #[test]
 fn a_hole_or_a_discontiguous_block_ends_a_run() {
     let (log, dev) = volume(256);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let f = fs.ialloc(mode::IFREG | 0o644).unwrap();
     let g = fs.ialloc(mode::IFREG | 0o644).unwrap();
     write_blocks(&fs, f, 0..3);
@@ -325,7 +327,7 @@ fn a_hole_or_a_discontiguous_block_ends_a_run() {
     fs.unmount().unwrap();
 
     // Cold, the same runs are the disk requests; the hole reads nothing.
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     log.take();
     let mut back = vec![0xFFu8; 9 * BLOCK_SIZE];
     assert_eq!(fs.file_read(f, &mut back, 0).unwrap(), back.len());
@@ -353,7 +355,7 @@ fn a_run_never_passes_the_end_of_the_file() {
     // inode whose size alone was cut), the run stops at the file's last
     // block.
     let (_log, dev) = volume(4096);
-    let fs = FsCore::mount(&dev).unwrap();
+    let fs = FsCore::mount(&dev, None).unwrap();
     let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
     let first = NDADDR + NINDIR;
     write_blocks(&fs, ino, first..first + 20);

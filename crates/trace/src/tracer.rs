@@ -29,8 +29,8 @@ pub struct BoundaryMetrics {
     /// Total bytes allocated at this seam.
     pub bytes_allocated: u64,
     /// Allocations that failed at this seam (exhaustion or injection) —
-    /// the boundary-level companion of the NIC's `rx_dropped` /
-    /// `wire_dropped` drop counters.
+    /// the boundary-level companion of the NIC's `rx_dropped` counter and
+    /// the fault ledger's `tx_dropped`.
     pub alloc_failed: u64,
     /// Threads that blocked at this seam.
     pub sleeps: u64,

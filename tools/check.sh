@@ -61,6 +61,12 @@ if [ "$fast" -eq 0 ]; then
         out=$(./target/release/$cmd) || { echo "$out" >&2; echo "FAILED: $cmd" >&2; exit 1; }
         printf '%s\n' "$out" | diff - "$golden" || { echo "FAILED: $cmd differs from $golden" >&2; exit 1; }
     done
+    echo "==> examples: exit zero and stdout identical to tools/golden/example-*.txt"
+    cargo build --release --examples
+    for ex in ttcp rtcp fileserver quickstart langos; do
+        out=$(./target/release/examples/$ex) || { echo "$out" >&2; echo "FAILED: example $ex" >&2; exit 1; }
+        printf '%s\n' "$out" | diff - "tools/golden/example-$ex.txt" || { echo "FAILED: example $ex differs from its golden" >&2; exit 1; }
+    done
 fi
 
 echo "==> cargo doc --no-deps (warnings denied)"
