@@ -17,6 +17,11 @@ pub mod ffs {
     pub mod fs;
     pub mod fsck;
     pub mod ondisk;
+    /// Tests of the buffer-cache contract the FFS code is written against.
+    #[cfg(test)]
+    mod buf {
+        mod tests;
+    }
 }
 pub mod glue;
 
