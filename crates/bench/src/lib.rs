@@ -65,14 +65,6 @@ pub fn is_counted_line(line: &str) -> bool {
     true
 }
 
-/// Counts filtered lines in one file.
-pub fn filtered_loc(path: &Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return 0;
-    };
-    text.lines().filter(|l| is_counted_line(l)).count()
-}
-
 /// Counts filtered lines under a directory, recursively, `.rs` only.
 /// Returns (non-test, test) counts, splitting on `#[cfg(test)]` blocks by
 /// the crude-but-effective rule: everything from a line containing

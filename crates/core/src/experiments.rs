@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 /// The three systems of Tables 1 and 2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StackKind {
+enum StackKind {
     /// Monolithic Linux: the Linux-style stack on the Linux driver,
     /// sharing `sk_buff`s throughout.
     Linux,
@@ -98,21 +98,6 @@ impl NetConfig {
     pub fn napi(mut self, on: bool) -> NetConfig {
         self.napi = on;
         self
-    }
-
-    /// Which stack this configuration runs.
-    pub fn kind(self) -> StackKind {
-        self.kind
-    }
-
-    /// Whether scatter-gather transmit is enabled.
-    pub fn has_sg(self) -> bool {
-        self.sg
-    }
-
-    /// Whether NAPI receive is enabled.
-    pub fn has_napi(self) -> bool {
-        self.napi
     }
 
     /// Display name matching the paper's tables (feature ablations are
@@ -235,18 +220,18 @@ fn build(sim: Arc<Sim>, sender_cfg: NetConfig, receiver_cfg: NetConfig) -> Testb
                          ip: Ipv4Addr,
                          server: bool|
      -> Box<dyn FnOnce() -> Box<dyn Pipe> + Send> {
-        match cfg.kind() {
+        match cfg.kind {
             StackKind::FreeBsd | StackKind::OsKit => {
                 let (net, _) = oskit_freebsd_net_init(env);
-                if cfg.kind() == StackKind::FreeBsd {
+                if cfg.kind == StackKind::FreeBsd {
                     let ifp = attach_native_if(&net, nic);
                     ifconfig(&ifp, ip, MASK);
                 } else {
                     let dev = NetDevice::new("eth0", env, Arc::clone(nic));
-                    if cfg.has_sg() {
+                    if cfg.sg {
                         dev.set_features(oskit_linux_dev::NETIF_F_SG);
                     }
-                    if cfg.has_napi() {
+                    if cfg.napi {
                         dev.set_features(oskit_linux_dev::NETIF_F_NAPI);
                     }
                     let com = LinuxEtherDev::new(env, &dev);

@@ -19,7 +19,7 @@ pub mod kernel;
 
 pub use experiments::{
     fileserve_run, rtcp_run, ttcp_run, ttcp_run_faulted, ttcp_run_mixed, FileServeResult,
-    NetConfig, RtcpResult, ServeMode, StackKind, TtcpResult,
+    NetConfig, RtcpResult, ServeMode, TtcpResult,
 };
 pub use kernel::{Kernel, KernelBuilder};
 

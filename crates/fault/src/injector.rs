@@ -1,10 +1,9 @@
-//! The per-machine injector handle the device models consult.
+//! The per-machine fault injector the device models consult.
 
 use crate::plan::FaultPlan;
 use crate::rng::SplitMix64;
 use crate::stats::FaultSnapshot;
 use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// The transmit-side verdict for one offered frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,15 +75,13 @@ fn window_end(now: u64, period: u64, duration: u64) -> u64 {
     now - now % period + duration
 }
 
-/// A cloneable handle to one machine's fault domain.
-///
-/// Clones share seeded decision streams and a block of
-/// injection/recovery counters.  Without an installed [`FaultPlan`]
-/// every decision is "no fault", so merely carrying the handle changes
-/// nothing.
-#[derive(Clone, Default)]
+/// One machine's fault domain, owned by the machine: seeded decision
+/// streams and a block of injection/recovery counters.  Without an
+/// installed [`FaultPlan`] every decision is "no fault", so merely
+/// carrying the injector changes nothing.
+#[derive(Default)]
 pub struct FaultInjector {
-    state: Arc<Mutex<InjectorState>>,
+    state: Mutex<InjectorState>,
 }
 
 impl FaultInjector {
@@ -99,24 +96,9 @@ impl FaultInjector {
         self.state.lock().plan = Some(PlanState::new(plan));
     }
 
-    /// Removes the plan: subsequent decisions are all "no fault".
-    pub fn uninstall(&self) {
-        self.state.lock().plan = None;
-    }
-
-    /// Whether a plan is currently installed.
-    pub fn installed(&self) -> bool {
-        self.state.lock().plan.is_some()
-    }
-
     /// Snapshots the injection/recovery counters.
     pub fn stats(&self) -> FaultSnapshot {
         self.state.lock().stats
-    }
-
-    /// Resets every counter (the plan and its streams are untouched).
-    pub fn clear(&self) {
-        self.state.lock().stats = FaultSnapshot::default();
     }
 
     // --- Device consultation points ---
@@ -248,14 +230,6 @@ impl FaultInjector {
     }
 }
 
-impl std::fmt::Debug for FaultInjector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultInjector")
-            .field("installed", &self.installed())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +349,5 @@ mod tests {
             (s.blk_retries, s.tx_watchdog_resets, s.pkt_alloc_drops),
             (1, 1, 1)
         );
-        inj.clear();
-        assert!(inj.stats().is_zero());
     }
 }

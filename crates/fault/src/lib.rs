@@ -11,9 +11,9 @@
 //!   drops/bursts/link-flap/transmitter wedge, disk transient-I/O-error
 //!   and latency-spike probabilities, allocation-failure injection
 //!   (GFP_ATOMIC-aware), and lost IRQ delivery;
-//! * a [`FaultInjector`] handle (one per machine, threaded through
-//!   `oskit-machine`) is consulted by the device models at each fault
-//!   point and by the glue when it recovers, keeping a [`FaultSnapshot`]
+//! * a [`FaultInjector`] (one per machine, owned by its `oskit-machine`
+//!   `Machine`) is consulted by the device models at each fault point
+//!   and by the glue when it recovers, keeping a [`FaultSnapshot`]
 //!   of matched injection/recovery counters.  `Machine::faults()` is the
 //!   one way to reach it: a kernel installs a plan there, and the device
 //!   models of that machine, and only they, act on it.

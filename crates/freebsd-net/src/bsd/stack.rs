@@ -200,11 +200,6 @@ impl BsdNet {
         }
     }
 
-    /// Number of live TCP connections (diagnostics).
-    pub fn tcp_conn_count(&self) -> usize {
-        self.tcp_conns.lock().len()
-    }
-
     /// Sends an ICMP echo request to `dst` and blocks until the reply or
     /// the timeout — the `ping` every kernel hacker writes first.
     pub fn ping(self: &Arc<Self>, dst: std::net::Ipv4Addr, timeout_ns: u64) -> bool {

@@ -517,17 +517,6 @@ impl TcpSock {
         (readable, writable)
     }
 
-    /// Debug snapshot: (state, snd_wnd, snd_cwnd, in-flight bytes).
-    pub fn debug_send_state(&self) -> (TcpState, u32, u32, u32) {
-        let tcb = self.tcb.lock();
-        (
-            tcb.t_state,
-            tcb.snd_wnd,
-            tcb.snd_cwnd,
-            tcb.snd_nxt.wrapping_sub(tcb.snd_una),
-        )
-    }
-
     /// Statistics snapshot: (segments sent, segments received).
     pub fn seg_stats(&self) -> (u64, u64) {
         let tcb = self.tcb.lock();

@@ -72,10 +72,11 @@ pub fn open_ether_if(net: &Arc<BsdNet>, dev: &Arc<dyn EtherDev>) -> Result<Arc<I
         };
         let b = oskit_machine::boundary!("freebsd-net", "rx_ether");
         let _span = net2.env.machine.span(b);
-        net2.env.machine.charge_crossing_at(b); // Entering the BSD component.
-                                                // `MGETHDR(m, M_DONTWAIT, ...)` — at interrupt level the mbuf
-                                                // allocation may fail; BSD drops the frame and counts it, and the
-                                                // peer's retransmit machinery recovers.
+        // Entering the BSD component.
+        net2.env.machine.charge_crossing_at(b);
+        // `MGETHDR(m, M_DONTWAIT, ...)` — at interrupt level the mbuf
+        // allocation may fail; BSD drops the frame and counts it, and the
+        // peer's retransmit machinery recovers.
         if net2.env.machine.faults().alloc_fail(true) {
             net2.env.machine.faults().note_pkt_alloc_drop();
             return Ok(());

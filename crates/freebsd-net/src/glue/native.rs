@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// Attaches the stack directly to hardware, BSD-monolithic style.
 pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
     let ifp = Ifnet::new("de0", nic.mac());
-    nic.book_frames_at(|| oskit_machine::boundary!("freebsd-net", "net_intr"));
+    nic.book_frames_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
     // Transmit: gather the chain into the NIC's DMA engine.  No CPU copy
     // is charged: the lance-class DMA walks the chain.
     let nic2 = Arc::clone(nic);

@@ -35,19 +35,6 @@ pub mod eth_p {
 /// Length of an Ethernet header.
 pub const ETH_HLEN: usize = 14;
 
-/// Interface statistics (`struct net_device_stats`).
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// Packets received.
-    pub rx_packets: AtomicU64,
-    /// Packets transmitted.
-    pub tx_packets: AtomicU64,
-    /// Receive errors/drops.
-    pub rx_dropped: AtomicU64,
-    /// Transmit errors: frames the watchdog found the hardware had eaten.
-    pub tx_errors: AtomicU64,
-}
-
 type RxHandler = Arc<dyn Fn(SkBuff) + Send + Sync>;
 
 /// The network device.
@@ -58,16 +45,14 @@ pub struct NetDevice {
     pub dev_addr: [u8; 6],
     /// Interface MTU.
     pub mtu: usize,
-    /// Statistics.
-    pub stats: NetStats,
     env: Arc<OsEnv>,
     hw: Arc<Nic>,
     /// `dev->features` capability bits ([`NETIF_F_SG`]).
     features: AtomicU32,
     rx_handler: Mutex<Option<RxHandler>>,
     opened: Mutex<bool>,
-    /// Offered-vs-wire gap the watchdog has already accounted for
-    /// (resets charged to `tx_errors`), so old losses never re-trigger.
+    /// Offered-vs-wire gap the watchdog has already answered with a
+    /// reset, so old losses never re-trigger.
     watchdog_gap: AtomicU64,
     /// Whether a NAPI poll is scheduled or running (`NAPI_STATE_SCHED`).
     /// While set, the rx interrupt is disarmed and arrivals accumulate
@@ -85,12 +70,11 @@ pub struct NetDevice {
 impl NetDevice {
     /// Creates the device bound to its hardware (driver `probe`).
     pub fn new(name: impl Into<String>, env: &Arc<OsEnv>, hw: Arc<Nic>) -> Arc<NetDevice> {
-        hw.book_frames_at(|| oskit_machine::boundary!("linux-dev", "net_intr"));
+        hw.book_frames_at(oskit_machine::boundary!("linux-dev", "net_intr"));
         Arc::new(NetDevice {
             name: name.into(),
             dev_addr: hw.mac(),
             mtu: 1500,
-            stats: NetStats::default(),
             env: Arc::clone(env),
             hw,
             features: AtomicU32::new(0),
@@ -267,22 +251,20 @@ impl NetDevice {
         // it; the sender's retransmit machinery does the rest.
         if self.env.machine.faults().alloc_fail(true) {
             self.env.machine.faults().note_pkt_alloc_drop();
-            self.stats.rx_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut skb = SkBuff::from_vec(frame);
         if skb.len() < ETH_HLEN {
-            self.stats.rx_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         // eth_type_trans: record the protocol, leave the header in place
         // for the upper layer to strip.
         skb.protocol = skb.with_data(|d| u16::from_be_bytes([d[12], d[13]]));
-        self.stats.rx_packets.fetch_add(1, Ordering::Relaxed);
         self.netif_rx(skb);
     }
 
-    /// `netif_rx`: hands a frame to the upper layer.
+    /// `netif_rx`: hands a frame to the upper layer, or drops it if no
+    /// handler is registered.
     ///
     /// The handler runs *outside* the `rx_handler` lock: handlers
     /// re-enter the device (a protocol that transmits a reply which a
@@ -290,11 +272,8 @@ impl NetDevice {
     /// and invoking under the lock deadlocks on that re-entry.
     pub fn netif_rx(&self, skb: SkBuff) {
         let handler = self.rx_handler.lock().clone();
-        match handler {
-            Some(h) => h(skb),
-            None => {
-                self.stats.rx_dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(h) = handler {
+            h(skb);
         }
     }
 
@@ -326,7 +305,6 @@ impl NetDevice {
                 );
                 self.hw.transmit_sg(&parts);
             });
-            self.stats.tx_packets.fetch_add(1, Ordering::Relaxed);
             self.tx_watchdog();
         } else {
             skb.with_data(|d| self.xmit_frame(d));
@@ -340,8 +318,9 @@ impl NetDevice {
     /// `dev_watchdog` / `tx_timeout`: compares frames offered to the
     /// hardware against frames that actually made the wire.  A growing
     /// gap means the transmitter has wedged; the cure — then as now — is
-    /// to reset the device.  The eaten frames are charged to `tx_errors`
-    /// and lost (TCP retransmits them); the driver never panics.
+    /// to reset the device.  The eaten frames are lost (TCP retransmits
+    /// them) and the fault ledger counts the reset; the driver never
+    /// panics.
     fn tx_watchdog(&self) {
         let gap = self.hw.tx_offered().saturating_sub(self.hw.tx_wire());
         let seen = self.watchdog_gap.load(Ordering::Relaxed);
@@ -353,9 +332,6 @@ impl NetDevice {
         {
             self.hw.reset();
             self.env.machine.faults().note_tx_watchdog_reset();
-            self.stats
-                .tx_errors
-                .fetch_add(gap - seen, Ordering::Relaxed);
         }
     }
 
@@ -369,7 +345,6 @@ impl NetDevice {
             self.name
         );
         self.hw.transmit(frame);
-        self.stats.tx_packets.fetch_add(1, Ordering::Relaxed);
         self.tx_watchdog();
     }
 
@@ -434,8 +409,6 @@ mod tests {
         assert_eq!(&frame[0..6], &db.dev_addr);
         assert_eq!(&frame[6..12], &da.dev_addr);
         assert_eq!(&frame[ETH_HLEN..], b"payload-bytes");
-        assert_eq!(db.stats.rx_packets.load(Ordering::Relaxed), 1);
-        assert_eq!(da.stats.tx_packets.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -458,7 +431,6 @@ mod tests {
         sim.run();
         assert_eq!(got.lock().len(), 1);
         assert_eq!(got.lock()[0], vec![0x5A; 80]);
-        assert_eq!(da.stats.tx_packets.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -482,7 +454,10 @@ mod tests {
             let _ = rec.wait_timeout(&s2, 10_000_000);
         });
         sim.run();
-        assert_eq!(db.stats.rx_dropped.load(Ordering::Relaxed), 1);
+        // The NIC queued the frame and the driver took it off the ring,
+        // with nowhere to hand it.
+        assert_eq!(db.env.machine.work().packets_received, 1);
+        assert_eq!(db.hw.rx_pending(), 0);
     }
 
     #[test]
@@ -600,7 +575,5 @@ mod tests {
         let (_sim, _da, db) = two_devices();
         db.set_rx_handler(move |_| panic!("runt delivered"));
         db.deliver_frame(vec![0u8; 10]);
-        assert_eq!(db.stats.rx_dropped.load(Ordering::Relaxed), 1);
-        assert_eq!(db.stats.rx_packets.load(Ordering::Relaxed), 0);
     }
 }

@@ -60,14 +60,9 @@ pub struct Disk {
 impl Disk {
     /// Attaches a disk of `sectors` sectors on IRQ 14.
     pub fn new(machine: &Arc<Machine>, sectors: usize) -> Arc<Disk> {
-        Self::with_config(machine, sectors, DiskConfig::default())
-    }
-
-    /// Attaches a disk with explicit timing.
-    pub fn with_config(machine: &Arc<Machine>, sectors: usize, config: DiskConfig) -> Arc<Disk> {
         Arc::new(Disk {
             machine: Arc::downgrade(machine),
-            config,
+            config: DiskConfig::default(),
             irq_line: lines::IDE,
             media: Mutex::new(vec![0; sectors * SECTOR_SIZE]),
             completed: Mutex::new(VecDeque::new()),
@@ -299,7 +294,7 @@ mod tests {
         let cfg = DiskConfig::default();
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 4096);
-        let d = Disk::with_config(&m, 128, cfg);
+        let d = Disk::new(&m, 128);
         let when = Arc::new(Mutex::new(0u64));
         let (d2, w2, m2) = (Arc::clone(&d), Arc::clone(&when), Arc::clone(&m));
         let rec = Arc::new(SleepRecord::new());

@@ -39,22 +39,12 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with `mem_size` bytes of RAM and default costs.
     pub fn new(sim: &Arc<Sim>, name: impl Into<String>, mem_size: usize) -> Arc<Machine> {
-        Self::with_costs(sim, name, mem_size, CostModel::default())
-    }
-
-    /// Creates a machine with an explicit cost model.
-    pub fn with_costs(
-        sim: &Arc<Sim>,
-        name: impl Into<String>,
-        mem_size: usize,
-        costs: CostModel,
-    ) -> Arc<Machine> {
         Arc::new(Machine {
             name: name.into(),
             sim: Arc::clone(sim),
             phys: PhysMem::new(mem_size),
             irq: Arc::new(IrqController::new()),
-            costs,
+            costs: CostModel::default(),
             tracer: Tracer::new(),
             faults: FaultInjector::new(),
             clock: AtomicU64::new(0),

@@ -131,7 +131,7 @@ pub struct Nic {
     rx_popped: AtomicU64,
     /// The boundary the attached driver's interrupt handler charges at;
     /// see [`Nic::book_frames_at`].
-    frame_boundary: OnceLock<fn() -> BoundaryId>,
+    frame_boundary: OnceLock<BoundaryId>,
 }
 
 impl Nic {
@@ -163,22 +163,13 @@ impl Nic {
         })
     }
 
-    /// Books this NIC's frame counts on the machine's ledger at the
+    /// Books this NIC's received frames on the machine's ledger at the
     /// boundary its driver's interrupt handler charges at — the seam
-    /// where the driver services this hardware: every frame offered for
-    /// transmission counts as `packets_sent`, every frame queued on the
-    /// receive ring as `packets_received`.  `boundary` is called at each
-    /// count, so the boundary is interned on first use, like the charges
-    /// it sits next to.  The first driver to attach wins; until one does,
-    /// frames are not booked.
-    pub fn book_frames_at(&self, boundary: fn() -> BoundaryId) {
+    /// where the driver services this hardware: every frame queued on the
+    /// receive ring counts as `packets_received`.  The first driver to
+    /// attach wins; until one does, frames are not booked.
+    pub fn book_frames_at(&self, boundary: BoundaryId) {
         let _ = self.frame_boundary.set(boundary);
-    }
-
-    fn book_frame(&self, machine: &Machine, kind: EventKind) {
-        if let Some(boundary) = self.frame_boundary.get() {
-            machine.note_at(boundary(), kind);
-        }
     }
 
     /// The station MAC address.
@@ -241,7 +232,6 @@ impl Nic {
         let Some(machine) = self.machine.upgrade() else {
             return;
         };
-        self.book_frame(&machine, EventKind::PacketSent);
         self.tx_offered.fetch_add(1, Ordering::Relaxed);
         // Scripted faults: a wedged transmitter eats the frame before it
         // reaches the wire (tx_wire stalls — the watchdog's signal); a
@@ -311,7 +301,9 @@ impl Nic {
             ring.len()
         };
         self.rx_enqueued.fetch_add(1, Ordering::Relaxed);
-        self.book_frame(&machine, EventKind::PacketReceived);
+        if let Some(&boundary) = self.frame_boundary.get() {
+            machine.note_at(boundary, EventKind::PacketReceived);
+        }
         if !self.rx_irq_armed.load(Ordering::Relaxed) {
             // The driver disarmed the interrupt and is draining the ring
             // by polling; it will find this frame without being told.

@@ -22,7 +22,7 @@
 //!   anywhere.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,41 +34,13 @@ pub type Ns = u64;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Tid(usize);
 
-/// Identifies a scheduled event, for cancellation: its sequence number.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct EventId(u64);
+/// Identifies a scheduled event, for cancellation: its time and sequence
+/// number.  Pending events are ordered by it, so the earliest runs first,
+/// in scheduling order among equal times.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
+pub struct EventId(Ns, u64);
 
 type Action = Box<dyn FnOnce() + Send>;
-
-struct Event {
-    time: Ns,
-    /// Scheduling order, which breaks ties between equal times; also the
-    /// event's [`EventId`].
-    seq: u64,
-    action: Action,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first,
-        // with FIFO order among equal timestamps.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ThreadState {
@@ -95,8 +67,7 @@ struct Slot {
 struct Inner {
     time: Ns,
     seq: u64,
-    events: BinaryHeap<Event>,
-    cancelled: std::collections::HashSet<u64>,
+    events: BTreeMap<EventId, Action>,
     ready: VecDeque<Tid>,
     slots: Vec<Slot>,
     /// Process threads that have not exited (excludes the harness slot 0).
@@ -126,8 +97,7 @@ impl Sim {
             inner: Mutex::new(Inner {
                 time: 0,
                 seq: 0,
-                events: BinaryHeap::new(),
-                cancelled: std::collections::HashSet::new(),
+                events: BTreeMap::new(),
                 ready: VecDeque::new(),
                 // Slot 0 is the harness thread that calls `run`.
                 slots: vec![Slot {
@@ -267,7 +237,6 @@ impl Sim {
     pub fn shutdown(&self) {
         let (events, threads) = {
             let mut inner = self.lock();
-            inner.cancelled.clear();
             let threads: Vec<_> = inner
                 .slots
                 .iter_mut()
@@ -309,18 +278,18 @@ impl Sim {
             None => inner.time + delay,
         };
         inner.seq += 1;
-        let seq = inner.seq;
-        inner.events.push(Event {
-            time,
-            seq,
-            action: Box::new(action),
-        });
-        EventId(seq)
+        let id = EventId(time, inner.seq);
+        inner.events.insert(id, Box::new(action));
+        id
     }
 
-    /// Cancels a scheduled event.  A no-op if it already ran.
+    /// Cancels a scheduled event, dropping its action at once.  A no-op if
+    /// it already ran.
     pub fn cancel(&self, id: EventId) {
-        self.lock().cancelled.insert(id.0);
+        let action = self.lock().events.remove(&id);
+        // Outside the lock: the action's captures may call back into the
+        // scheduler as they drop.
+        drop(action);
     }
 
     /// Blocks the calling process thread until another context calls
@@ -357,23 +326,17 @@ impl Sim {
         Self::make_ready(&mut inner, tid);
     }
 
-    /// Pops and runs the earliest non-cancelled event, advancing virtual
-    /// time.  Returns whether an event ran.  On event panic or time-limit
-    /// overrun, records a failure.
+    /// Pops and runs the earliest event, advancing virtual time.  Returns
+    /// whether an event ran.  On event panic or time-limit overrun, records
+    /// a failure.
     fn dispatch_one_event<'a>(
         &'a self,
         mut inner: MutexGuard<'a, Inner>,
     ) -> (MutexGuard<'a, Inner>, bool) {
-        let ev = loop {
-            match inner.events.pop() {
-                Some(ev) if inner.cancelled.remove(&ev.seq) => continue,
-                other => break other,
-            }
-        };
-        let Some(ev) = ev else {
+        let Some((EventId(time, _), action)) = inner.events.pop_first() else {
             return (inner, false);
         };
-        inner.time = inner.time.max(ev.time);
+        inner.time = inner.time.max(time);
         if inner.time > inner.time_limit {
             if inner.failure.is_none() {
                 inner.failure = Some(format!("virtual time limit exceeded at {} ns", inner.time));
@@ -383,7 +346,7 @@ impl Sim {
         }
         inner.in_event = true;
         drop(inner);
-        let result = catch_unwind(AssertUnwindSafe(ev.action));
+        let result = catch_unwind(AssertUnwindSafe(action));
         let mut inner = self.lock();
         inner.in_event = false;
         if let Err(p) = result {
@@ -806,6 +769,17 @@ mod tests {
         });
         sim.run();
         assert_eq!(hits.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn cancel_drops_the_action_at_once() {
+        let sim = Sim::new();
+        let held = Arc::new(());
+        let h2 = Arc::clone(&held);
+        let ev = sim.at(10, move || drop(h2));
+        assert_eq!(Arc::strong_count(&held), 2);
+        sim.cancel(ev);
+        assert_eq!(Arc::strong_count(&held), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! directory tree verifying entries and link counts.
 
 use super::fs::FsCore;
-use super::ondisk::{Dinode, BLOCK_SIZE, NDADDR, NINDIR, ROOT_INO};
+use super::ondisk::{Dinode, BLOCK_SIZE, NINDIR, ROOT_INO};
 use oskit_com::Result;
 use std::collections::HashMap;
 
@@ -207,14 +207,6 @@ fn read_indir(fs: &FsCore, iblk: u32) -> Result<Vec<u32>> {
             .filter(|&e| e != 0)
             .collect()
     })
-}
-
-/// A size sanity helper used by tests: blocks a file of `size` bytes may
-/// reference at most.
-pub fn max_blocks_for(size: u64) -> usize {
-    let data = size.div_ceil(BLOCK_SIZE as u64) as usize;
-    // Plus indirect overhead.
-    data + 2 + data.div_ceil(NINDIR) + usize::from(data > NDADDR)
 }
 
 #[cfg(test)]

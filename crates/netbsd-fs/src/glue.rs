@@ -5,8 +5,10 @@
 //! able to leave untouched the internals of the OSKit file system" — every
 //! name that reaches the core is a single pathname component, and the
 //! whole component is guarded by one component lock per the blocking
-//! execution model (§4.7.4), released implicitly whenever the underlying
-//! device blocks.
+//! execution model (§4.7.4).  The lock is held for the whole call,
+//! including while the underlying device blocks: nothing releases it
+//! around a disk sleep, so a second thread entering the file system
+//! waits for the first one's I/O to finish.
 
 use crate::ffs::fs::FsCore;
 use crate::ffs::ondisk::{mode, DiskDirent, ROOT_INO};

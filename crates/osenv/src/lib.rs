@@ -27,8 +27,6 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-pub mod execmodels;
-
 #[cfg(test)]
 mod tests_extra;
 
@@ -459,11 +457,6 @@ impl ProcessLock {
         let r = f();
         self.enter(sim);
         r
-    }
-
-    /// Whether the calling thread holds the lock.
-    pub fn held_by_me(&self) -> bool {
-        self.state.lock().holder == Sim::current_tid()
     }
 }
 

@@ -58,9 +58,6 @@ pub enum EventKind {
         /// Number of bytes checksummed.
         bytes: u64,
     },
-    /// A frame was handed to the NIC this boundary's driver services, to
-    /// transmit.
-    PacketSent,
     /// The NIC this boundary's driver services queued a frame on its
     /// receive ring.
     PacketReceived,

@@ -14,9 +14,8 @@
 //! * **Event kinds** ([`EventKind`]) — what a charge books: crossings,
 //!   copies (with byte counts), allocations, sleeps, wakeups, IRQs and
 //!   so on.
-//! * **The tracer** ([`Tracer`]) — a cloneable handle to one ledger:
-//!   per-boundary counters ([`BoundaryMetrics`]) under one plain
-//!   `Mutex`.
+//! * **The tracer** ([`Tracer`]) — one ledger: per-boundary counters
+//!   ([`BoundaryMetrics`]) under one plain `Mutex`.
 //!
 //! # Usage
 //!
@@ -58,7 +57,7 @@ mod tests {
         #[test]
         fn counters_follow_event_kinds() {
             type Bump = fn(&mut BoundaryMetrics);
-            let table: [(EventKind, Bump); 17] = [
+            let table: [(EventKind, Bump); 16] = [
                 (EventKind::Crossing, |m| m.crossings = 1),
                 (EventKind::Copy { bytes: 100 }, |m| {
                     (m.copies, m.bytes_copied) = (1, 100)
@@ -84,7 +83,6 @@ mod tests {
                 (EventKind::Checksum { bytes: 40 }, |m| {
                     (m.checksums, m.bytes_checksummed) = (1, 40)
                 }),
-                (EventKind::PacketSent, |m| m.packets_sent = 1),
                 (EventKind::PacketReceived, |m| m.packets_received = 1),
             ];
             let seam = crate::boundary!("en", "kind_seam");
@@ -142,30 +140,26 @@ mod tests {
             let t = Tracer::new();
             let seam = crate::boundary!("en", "concurrent_seam");
 
-            let handles: Vec<_> = (0..WRITERS)
-                .map(|_| {
-                    let t = t.clone();
-                    std::thread::spawn(move || {
+            std::thread::scope(|s| {
+                for _ in 0..WRITERS {
+                    s.spawn(|| {
                         for _ in 0..PER_WRITER {
                             t.record(seam, EventKind::Copy { bytes: 10 });
                         }
-                    })
-                })
-                .collect();
+                    });
+                }
 
-            // Interleave snapshots with the writers: each observed value
-            // must be monotone and within range.
-            let mut last = 0;
-            for _ in 0..50 {
-                let m = *t.metrics().get("en", "concurrent_seam").unwrap();
-                assert!(m.copies >= last);
-                assert!(m.copies <= WRITERS as u64 * PER_WRITER);
-                assert_eq!(m.bytes_copied, m.copies * 10);
-                last = m.copies;
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
+                // Interleave snapshots with the writers: each observed
+                // value must be monotone and within range.
+                let mut last = 0;
+                for _ in 0..50 {
+                    let m = *t.metrics().get("en", "concurrent_seam").unwrap();
+                    assert!(m.copies >= last);
+                    assert!(m.copies <= WRITERS as u64 * PER_WRITER);
+                    assert_eq!(m.bytes_copied, m.copies * 10);
+                    last = m.copies;
+                }
+            });
 
             let m = *t.metrics().get("en", "concurrent_seam").unwrap();
             assert_eq!(m.copies, WRITERS as u64 * PER_WRITER);
@@ -180,15 +174,6 @@ mod tests {
             t.add_vtime(seam, 5);
             t.clear();
             assert!(t.metrics().get("en", "clear_seam").unwrap().is_zero());
-        }
-
-        #[test]
-        fn clones_share_a_core() {
-            let t = Tracer::new();
-            let t2 = t.clone();
-            let seam = crate::boundary!("en", "shared_seam");
-            t.record(seam, EventKind::Crossing);
-            assert_eq!(t2.metrics().get("en", "shared_seam").unwrap().crossings, 1);
         }
 
         #[test]

@@ -4,7 +4,7 @@
 use crate::boundary::{boundary_names, BoundaryId};
 use crate::event::EventKind;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A point-in-time snapshot of one boundary's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,8 +60,6 @@ pub struct BoundaryMetrics {
     /// The subset of `irqs` raised by a NIC's receive path — the
     /// quantity interrupt mitigation exists to shrink.
     pub rx_irqs: u64,
-    /// Frames handed to the NIC this seam's driver services, to transmit.
-    pub packets_sent: u64,
     /// Frames that NIC queued on its receive ring.
     pub packets_received: u64,
 }
@@ -112,7 +110,6 @@ impl BoundaryMetrics {
                 self.checksums += 1;
                 self.bytes_checksummed += bytes;
             }
-            EventKind::PacketSent => self.packets_sent += 1,
             EventKind::PacketReceived => self.packets_received += 1,
         }
     }
@@ -172,7 +169,6 @@ impl TraceReport {
             sum.checksums += b.checksums;
             sum.bytes_checksummed += b.bytes_checksummed;
             sum.rx_irqs += b.rx_irqs;
-            sum.packets_sent += b.packets_sent;
             sum.packets_received += b.packets_received;
         }
         sum
@@ -236,10 +232,9 @@ impl fmt::Display for TraceReport {
     }
 }
 
-/// A cloneable handle to one tracing domain (normally: one simulated
-/// machine).
+/// One tracing domain (normally: one simulated machine, which owns it).
 ///
-/// Clones share one ledger: the per-boundary counters, indexed by
+/// The ledger is the per-boundary counters, indexed by
 /// [`BoundaryId::index`] and grown on first use, behind a single
 /// `Mutex`.  The lock is a leaf — nothing is called while it is held —
 /// so a snapshot is consistent across every counter, and under the
@@ -252,9 +247,9 @@ impl fmt::Display for TraceReport {
 /// let report = t.metrics();
 /// assert_eq!(report.get("doc", "seam").unwrap().bytes_copied, 64);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Tracer {
-    counters: Arc<Mutex<Vec<BoundaryMetrics>>>,
+    counters: Mutex<Vec<BoundaryMetrics>>,
 }
 
 impl Tracer {

@@ -51,10 +51,11 @@ if [ "$fast" -eq 0 ]; then
     ./target/release/table1 | diff - tools/golden/table1.txt
     ./target/release/table2 | diff - tools/golden/table2.txt
     ./target/release/table3 | diff - tools/golden/table3.txt
-    echo "==> ablation and breakdown runs: exit zero (no [FAIL]) and stdout identical to tools/golden"
+    echo "==> ablation, breakdown and figure runs: exit zero (no [FAIL]) and stdout identical to tools/golden"
     for run in "table1 --boundaries --sg --napi --faults:table1-ablations.txt" \
         "table2 --napi --boundaries:table2-ablations.txt" \
-        "table3 --boundaries:table3-boundaries.txt"; do
+        "table3 --boundaries:table3-boundaries.txt" \
+        "fig1:fig1.txt"; do
         cmd=${run%%:*}
         golden=tools/golden/${run##*:}
         # shellcheck disable=SC2086 # $cmd is a binary name plus flags.
