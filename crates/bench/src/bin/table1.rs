@@ -229,7 +229,6 @@ fn main() {
                 // inside the wedge window (see tests/fault_soak.rs).
                 wedge_period_ns: 83_000_009,
                 wedge_duration_ns: 1_500_000,
-                ..NicFaults::default()
             })
             .alloc(AllocFaults {
                 fail_per_mille: 1,

@@ -265,7 +265,7 @@ impl BufCache {
     /// Books a hit, miss or eviction in the machine's ledger, if any.
     fn note(&self, kind: EventKind) {
         if let Some(m) = &self.machine {
-            m.note_at(boundary!("bufcache", "getblk"), kind);
+            m.book(boundary!("bufcache", "getblk"), kind);
         }
     }
 

@@ -116,10 +116,6 @@ impl FaultInjector {
             stats.tx_wedged += 1;
             return NicTxFault::Wedged;
         }
-        if in_window(now, nf.flap_period_ns, nf.flap_down_ns) {
-            stats.link_down_dropped += 1;
-            return NicTxFault::Dropped;
-        }
         if st.nic_burst_left > 0 {
             st.nic_burst_left -= 1;
             stats.tx_dropped += 1;

@@ -8,7 +8,7 @@
 //! seed, so a soak run is exactly reproducible:
 //!
 //! * a [`FaultPlan`] describes per-device-class schedules — NIC frame
-//!   drops/bursts/link-flap/transmitter wedge, disk transient-I/O-error
+//!   drops/bursts/transmitter wedge, disk transient-I/O-error
 //!   and latency-spike probabilities, allocation-failure injection
 //!   (GFP_ATOMIC-aware), and lost IRQ delivery;
 //! * a [`FaultInjector`] (one per machine, owned by its `oskit-machine`

@@ -16,11 +16,6 @@ pub struct NicFaults {
     /// total (a burst, as a noisy cable produces).  `0` and `1` both mean
     /// single-frame drops.
     pub burst_len: u32,
-    /// Link-flap period in ns (`0` = the link never flaps).
-    pub flap_period_ns: u64,
-    /// The link is down for the first `flap_down_ns` of each flap period;
-    /// frames offered while down are lost.
-    pub flap_down_ns: u64,
     /// Transmitter-wedge period in ns (`0` = never wedges).
     pub wedge_period_ns: u64,
     /// The transmitter is dead for the first `wedge_duration_ns` of each

@@ -17,8 +17,6 @@ use std::fmt;
 pub struct FaultSnapshot {
     /// Frames destroyed on the wire by random drops and bursts.
     pub tx_dropped: u64,
-    /// Frames lost because the link was flapped down.
-    pub link_down_dropped: u64,
     /// Frames eaten by a wedged transmitter (never reached the wire).
     pub tx_wedged: u64,
     /// Disk requests completed with an injected transient error.
@@ -53,7 +51,6 @@ impl FaultSnapshot {
     /// Total injected faults (the left side of the ledger).
     pub fn total_injected(&self) -> u64 {
         self.tx_dropped
-            + self.link_down_dropped
             + self.tx_wedged
             + self.disk_errors
             + self.disk_spikes
@@ -66,9 +63,8 @@ impl fmt::Display for FaultSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "  injected: {} tx-drop, {} link-down, {} tx-wedge, {} disk-err, {} disk-spike, {} alloc-fail, {} irq-lost",
+            "  injected: {} tx-drop, {} tx-wedge, {} disk-err, {} disk-spike, {} alloc-fail, {} irq-lost",
             self.tx_dropped,
-            self.link_down_dropped,
             self.tx_wedged,
             self.disk_errors,
             self.disk_spikes,

@@ -1,12 +1,13 @@
 //! The stack instance: demux, timers and global state — BSD's
 //! `netisr`/`inetsw` plumbing in donor idiom.
 
-use super::ip::{icmp_reflect, ipproto, IpState};
+use super::ip::{icmp_reflect, ipproto, IpState, IP_HDR_LEN};
 use super::mbuf::MbufChain;
 use super::net::{ethertype, Ifnet, ETHER_HDR_LEN};
 use super::sleep::BsdSleep;
 use super::tcp::TcpSock;
 use super::udp::UdpSock;
+use oskit_machine::{boundary, EventKind};
 use oskit_osenv::{OsEnv, TimerHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -125,7 +126,7 @@ impl BsdNet {
     pub fn ether_input(self: &Arc<Self>, mut frame: MbufChain) {
         self.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "ether_in"));
+            .book(boundary!("freebsd-net", "ether_in"), EventKind::Layer);
         if frame.pkt_len() < ETHER_HDR_LEN {
             return;
         }
@@ -147,9 +148,9 @@ impl BsdNet {
     fn ip_input(self: &Arc<Self>, pkt: MbufChain) {
         let now = self.env.now();
         // Header validation (checksummed) is protocol work.
-        self.env.machine.charge_checksum_at(
-            oskit_machine::boundary!("freebsd-net", "ip_in"),
-            super::ip::IP_HDR_LEN,
+        self.env.machine.book(
+            boundary!("freebsd-net", "ip_in"),
+            EventKind::Checksum { bytes: IP_HDR_LEN },
         );
         let Some((hdr, payload)) = self.ip.ip_input(pkt, now) else {
             return;
@@ -164,7 +165,7 @@ impl BsdNet {
                 if let Some(reply) = icmp_reflect(&payload) {
                     self.env
                         .machine
-                        .charge_layer_at(oskit_machine::boundary!("freebsd-net", "icmp"));
+                        .book(boundary!("freebsd-net", "icmp"), EventKind::Layer);
                     let ifp = self.ifnet();
                     self.ip
                         .ip_output(&ifp, ipproto::ICMP, hdr.dst, hdr.src, reply);
@@ -223,7 +224,7 @@ impl BsdNet {
         };
         self.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "icmp"));
+            .book(boundary!("freebsd-net", "icmp"), EventKind::Layer);
         self.ip
             .ip_output(&ifp, ipproto::ICMP, src, dst, MbufChain::from_slice(&pkt));
         let ok = matches!(

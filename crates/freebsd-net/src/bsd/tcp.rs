@@ -7,10 +7,11 @@
 //! ACKs on the fast timer, the Nagle algorithm, and window updates — "the
 //! BSD network protocols have been tuned for over 15 years" (paper §6.2.6).
 
-use super::ip::{in_cksum_chain, ipproto};
+use super::ip::{in_cksum_chain, ipproto, IP_HDR_LEN};
 use super::mbuf::{Mbuf, MbufChain, MLEN};
 use super::socket::{seq, SockBuf, SB_RCV_HIWAT, SB_SND_HIWAT};
 use super::stack::BsdNet;
+use oskit_machine::{boundary, EventKind};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -360,9 +361,10 @@ impl TcpSock {
                 if space > 0 {
                     let n = space.min(buf.len() - written);
                     // uiomove: the user→mbuf copy every configuration pays.
-                    net.env
-                        .machine
-                        .charge_copy_at(oskit_machine::boundary!("freebsd-net", "sockbuf"), n);
+                    net.env.machine.book(
+                        boundary!("freebsd-net", "sockbuf"),
+                        EventKind::Copy { bytes: n },
+                    );
                     let chain = MbufChain::from_slice(&buf[written..written + n]);
                     tcb.snd_buf.append(chain);
                     written += n;
@@ -405,10 +407,12 @@ impl TcpSock {
                     let n = space.min(len - written);
                     // Where `send` charges a sockbuf copy (uiomove), this
                     // path programs one descriptor-like reference.
-                    net.env.machine.charge_gather_at(
-                        oskit_machine::boundary!("freebsd-net", "sockbuf"),
-                        n,
-                        1,
+                    net.env.machine.book(
+                        boundary!("freebsd-net", "sockbuf"),
+                        EventKind::Gather {
+                            bytes: n,
+                            fragments: 1,
+                        },
                     );
                     let chain = MbufChain::from_mbuf(Mbuf::ext(Arc::clone(buf), off + written, n));
                     tcb.snd_buf.append(chain);
@@ -433,9 +437,10 @@ impl TcpSock {
                     let n = tcb.rcv_buf.peek(buf);
                     tcb.rcv_buf.drop_front(n);
                     // The mbuf→user copy (all configurations pay it).
-                    net.env
-                        .machine
-                        .charge_copy_at(oskit_machine::boundary!("freebsd-net", "sockbuf"), n);
+                    net.env.machine.book(
+                        boundary!("freebsd-net", "sockbuf"),
+                        EventKind::Copy { bytes: n },
+                    );
                     // Window update if we opened it significantly.
                     let avail = tcb.rcv_buf.space() as u32;
                     let advertised = tcb.rcv_adv.wrapping_sub(tcb.rcv_nxt);
@@ -642,7 +647,7 @@ impl TcpSock {
     ) {
         net.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "tcp_out")); // TCP processing.
+            .book(boundary!("freebsd-net", "tcp_out"), EventKind::Layer); // TCP processing.
         let hdr_len = if with_mss_opt {
             TCP_HDR_LEN + 4
         } else {
@@ -671,9 +676,10 @@ impl TcpSock {
         pseudo.push(0);
         pseudo.push(ipproto::TCP);
         pseudo.extend_from_slice(&(total as u16).to_be_bytes());
-        net.env
-            .machine
-            .charge_checksum_at(oskit_machine::boundary!("freebsd-net", "tcp_out"), total);
+        net.env.machine.book(
+            boundary!("freebsd-net", "tcp_out"),
+            EventKind::Checksum { bytes: total },
+        );
         let csum = {
             let mut tmp = MbufChain::from_mbuf(Mbuf::small(&hdr, MLEN - hdr_len));
             tmp.m_cat(payload.clone()); // Clones share storage, not bytes.
@@ -690,9 +696,9 @@ impl TcpSock {
             let mut flat = vec![0u8; hdr_len + paylen];
             flat[..hdr_len].copy_from_slice(&hdr);
             payload.m_copydata(0, &mut flat[hdr_len..]);
-            net.env.machine.charge_copy_at(
-                oskit_machine::boundary!("freebsd-net", "tcp_output"),
-                paylen,
+            net.env.machine.book(
+                boundary!("freebsd-net", "tcp_output"),
+                EventKind::Copy { bytes: paylen },
             );
             MbufChain::from_mbuf(Mbuf::small(&flat, MLEN - flat.len()))
         } else {
@@ -709,10 +715,10 @@ impl TcpSock {
         // IP layer.
         net.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "ip_out"));
-        net.env.machine.charge_checksum_at(
-            oskit_machine::boundary!("freebsd-net", "ip_out"),
-            super::ip::IP_HDR_LEN,
+            .book(boundary!("freebsd-net", "ip_out"), EventKind::Layer);
+        net.env.machine.book(
+            boundary!("freebsd-net", "ip_out"),
+            EventKind::Checksum { bytes: IP_HDR_LEN },
         );
         let ifp = net.ifnet();
         net.ip

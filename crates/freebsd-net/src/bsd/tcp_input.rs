@@ -5,6 +5,7 @@ use super::mbuf::MbufChain;
 use super::socket::seq;
 use super::stack::BsdNet;
 use super::tcp::{th, TFlags, Tcb, TcpSock, TcpState, TCP_HDR_LEN, TCP_MSS};
+use oskit_machine::{boundary, EventKind};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -75,15 +76,16 @@ impl TcpHeader {
 pub(crate) fn tcp_input(net: &Arc<BsdNet>, src: Ipv4Addr, dst: Ipv4Addr, mut pkt: MbufChain) {
     net.env
         .machine
-        .charge_layer_at(oskit_machine::boundary!("freebsd-net", "tcp_in"));
+        .book(boundary!("freebsd-net", "tcp_in"), EventKind::Layer);
     let total = pkt.pkt_len();
     if total < TCP_HDR_LEN {
         return;
     }
     // Verify the checksum over the pseudo-header and segment.
-    net.env
-        .machine
-        .charge_checksum_at(oskit_machine::boundary!("freebsd-net", "tcp_in"), total);
+    net.env.machine.book(
+        boundary!("freebsd-net", "tcp_in"),
+        EventKind::Checksum { bytes: total },
+    );
     let mut pseudo = Vec::with_capacity(12);
     pseudo.extend_from_slice(&src.octets());
     pseudo.extend_from_slice(&dst.octets());

@@ -3,6 +3,7 @@
 use super::ip::{in_cksum_chain, ipproto};
 use super::mbuf::{Mbuf, MbufChain, MLEN};
 use super::stack::BsdNet;
+use oskit_machine::{boundary, EventKind};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -109,10 +110,10 @@ impl UdpSock {
         }
         net.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("freebsd-net", "udp_out"));
-        net.env.machine.charge_copy_at(
-            oskit_machine::boundary!("freebsd-net", "sockbuf"),
-            buf.len(),
+            .book(boundary!("freebsd-net", "udp_out"), EventKind::Layer);
+        net.env.machine.book(
+            boundary!("freebsd-net", "sockbuf"),
+            EventKind::Copy { bytes: buf.len() },
         ); // uiomove.
         let mut hdr = [0u8; UDP_HDR_LEN];
         hdr[0..2].copy_from_slice(&lport.to_be_bytes());
@@ -128,9 +129,11 @@ impl UdpSock {
         pseudo.push(0);
         pseudo.push(ipproto::UDP);
         pseudo.extend_from_slice(&ulen.to_be_bytes());
-        net.env.machine.charge_checksum_at(
-            oskit_machine::boundary!("freebsd-net", "udp_out"),
-            ulen as usize,
+        net.env.machine.book(
+            boundary!("freebsd-net", "udp_out"),
+            EventKind::Checksum {
+                bytes: ulen as usize,
+            },
         );
         let csum = in_cksum_chain(&seg, &pseudo);
         let mut hdr2 = hdr;
@@ -162,9 +165,10 @@ impl UdpSock {
                     inner.queued -= data.len();
                     let n = buf.len().min(data.len());
                     buf[..n].copy_from_slice(&data[..n]);
-                    net.env
-                        .machine
-                        .charge_copy_at(oskit_machine::boundary!("freebsd-net", "sockbuf"), n);
+                    net.env.machine.book(
+                        boundary!("freebsd-net", "sockbuf"),
+                        EventKind::Copy { bytes: n },
+                    );
                     return Ok((n, src));
                 }
             }
@@ -187,15 +191,16 @@ impl UdpSock {
 pub(crate) fn udp_input(net: &Arc<BsdNet>, src: Ipv4Addr, dst: Ipv4Addr, mut pkt: MbufChain) {
     net.env
         .machine
-        .charge_layer_at(oskit_machine::boundary!("freebsd-net", "udp_in"));
+        .book(boundary!("freebsd-net", "udp_in"), EventKind::Layer);
     let total = pkt.pkt_len();
     if total < UDP_HDR_LEN {
         return;
     }
     // Verify the checksum (optional on the wire, always emitted by us).
-    net.env
-        .machine
-        .charge_checksum_at(oskit_machine::boundary!("freebsd-net", "udp_in"), total);
+    net.env.machine.book(
+        boundary!("freebsd-net", "udp_in"),
+        EventKind::Checksum { bytes: total },
+    );
     let mut pseudo = Vec::with_capacity(12);
     pseudo.extend_from_slice(&src.octets());
     pseudo.extend_from_slice(&dst.octets());

@@ -18,7 +18,7 @@ use oskit_com::interfaces::blkio::BufIo;
 use oskit_com::interfaces::netio::{EtherDev, FnNetIo, NetIo};
 use oskit_com::interfaces::socket::SocketFactory;
 use oskit_com::{Error, Result};
-use oskit_machine::Machine;
+use oskit_machine::{boundary, EventKind, Machine};
 use oskit_osenv::OsEnv;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -70,10 +70,10 @@ pub fn open_ether_if(net: &Arc<BsdNet>, dev: &Arc<dyn EtherDev>) -> Result<Arc<I
         let Some(net2) = weak.upgrade() else {
             return Ok(());
         };
-        let b = oskit_machine::boundary!("freebsd-net", "rx_ether");
+        let b = boundary!("freebsd-net", "rx_ether");
         let _span = net2.env.machine.span(b);
         // Entering the BSD component.
-        net2.env.machine.charge_crossing_at(b);
+        net2.env.machine.book(b, EventKind::Crossing);
         // `MGETHDR(m, M_DONTWAIT, ...)` — at interrupt level the mbuf
         // allocation may fail; BSD drops the frame and counts it, and the
         // peer's retransmit machinery recovers.
@@ -88,7 +88,7 @@ pub fn open_ether_if(net: &Arc<BsdNet>, dev: &Arc<dyn EtherDev>) -> Result<Arc<I
                 // Unmappable foreign buffer: copy into a cluster chain.
                 let mut flat = vec![0u8; len];
                 let n = pkt.read(&mut flat, 0)?;
-                net2.env.machine.charge_copy_at(b, n);
+                net2.env.machine.book(b, EventKind::Copy { bytes: n });
                 MbufChain::from_slice(&flat[..n])
             }
             Err(e) => return Err(e),
@@ -122,9 +122,9 @@ struct GlueOutput {
 
 impl IfOutput for GlueOutput {
     fn output(&self, frame: MbufChain) {
-        let b = oskit_machine::boundary!("freebsd-net", "tx_output");
+        let b = boundary!("freebsd-net", "tx_output");
         let _span = self.machine.span(b);
-        self.machine.charge_crossing_at(b); // Leaving the BSD component.
+        self.machine.book(b, EventKind::Crossing); // Leaving the BSD component.
         let pkt = MbufBufIo::new(frame);
         let _ = self.tx.push(pkt as Arc<dyn BufIo>);
     }

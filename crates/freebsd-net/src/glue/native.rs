@@ -10,13 +10,13 @@ use crate::bsd::mbuf::{Mbuf, MbufChain};
 use crate::bsd::net::{IfOutput, Ifnet};
 use crate::bsd::stack::BsdNet;
 use oskit_com::interfaces::blkio::VecBufIo;
-use oskit_machine::Nic;
+use oskit_machine::{boundary, EventKind, Nic};
 use std::sync::Arc;
 
 /// Attaches the stack directly to hardware, BSD-monolithic style.
 pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
     let ifp = Ifnet::new("de0", nic.mac());
-    nic.book_frames_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
+    nic.book_frames_at(boundary!("freebsd-net", "net_intr"));
     // Transmit: gather the chain into the NIC's DMA engine.  No CPU copy
     // is charged: the lance-class DMA walks the chain.
     let nic2 = Arc::clone(nic);
@@ -30,7 +30,7 @@ pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
         let Some(net2) = weak.upgrade() else { return };
         net2.env
             .machine
-            .charge_rx_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
+            .book(boundary!("freebsd-net", "net_intr"), EventKind::RxIrq);
         while let Some(frame) = nic3.rx_pop() {
             // The DMA target cluster, wrapped without a CPU copy.
             let len = frame.len();

@@ -14,8 +14,17 @@ use oskit_com::interfaces::socket::{
 };
 use oskit_com::interfaces::stream::{AsyncIo, IoReady, Stream};
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
+use oskit_machine::{boundary, EventKind};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+/// Books one COM call's crossing into the FreeBSD socket layer, at the
+/// `freebsd-net::socket` seam.
+fn enter(net: &BsdNet) {
+    net.env
+        .machine
+        .book(boundary!("freebsd-net", "socket"), EventKind::Crossing);
+}
 
 /// The factory handed back by `oskit_freebsd_net_init`.
 pub struct BsdSocketFactory {
@@ -39,10 +48,7 @@ impl BsdSocketFactory {
 impl SocketFactory for BsdSocketFactory {
     fn create(&self, domain: Domain, ty: SockType) -> Result<Arc<dyn Socket>> {
         let Domain::Inet = domain;
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         Ok(match ty {
             SockType::Stream => new_com(
                 BsdComSocket {
@@ -108,10 +114,7 @@ impl BsdComSocket {
 
 impl Socket for BsdComSocket {
     fn bind(&self, addr: SockAddr) -> Result<()> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         match &self.inner {
             Inner::Tcp(t) => t.bind(addr.addr, addr.port),
             Inner::Udp(u) => u.bind(addr.addr, addr.port),
@@ -119,10 +122,7 @@ impl Socket for BsdComSocket {
     }
 
     fn connect(&self, addr: SockAddr) -> Result<()> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         match &self.inner {
             Inner::Tcp(t) => t.connect(addr.addr, addr.port),
             Inner::Udp(u) => u.connect(addr.addr, addr.port),
@@ -130,18 +130,12 @@ impl Socket for BsdComSocket {
     }
 
     fn listen(&self, backlog: usize) -> Result<()> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         self.tcp()?.listen(backlog)
     }
 
     fn accept(&self) -> Result<(Arc<dyn Socket>, SockAddr)> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         let (child, (addr, port)) = self.tcp()?.accept()?;
         Ok((
             Self::from_tcp(&self.net, child) as Arc<dyn Socket>,
@@ -150,10 +144,7 @@ impl Socket for BsdComSocket {
     }
 
     fn send(&self, buf: &[u8]) -> Result<usize> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         match &self.inner {
             Inner::Tcp(t) => t.send(buf),
             Inner::Udp(u) => u.send(buf),
@@ -161,10 +152,7 @@ impl Socket for BsdComSocket {
     }
 
     fn recv(&self, buf: &mut [u8]) -> Result<usize> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         match &self.inner {
             Inner::Tcp(t) => t.recv(buf),
             Inner::Udp(u) => u.recvfrom(buf).map(|(n, _)| n),
@@ -172,18 +160,12 @@ impl Socket for BsdComSocket {
     }
 
     fn sendto(&self, buf: &[u8], addr: SockAddr) -> Result<usize> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         self.udp()?.sendto(buf, addr.addr, addr.port)
     }
 
     fn recvfrom(&self, buf: &mut [u8]) -> Result<(usize, SockAddr)> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         let (n, (addr, port)) = self.udp()?.recvfrom(buf)?;
         Ok((n, SockAddr::new(addr, port)))
     }
@@ -220,10 +202,7 @@ impl Socket for BsdComSocket {
     }
 
     fn shutdown(&self, how: Shutdown) -> Result<()> {
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         match how {
             Shutdown::Write | Shutdown::Both => {
                 if let Inner::Tcp(t) = &self.inner {
@@ -250,10 +229,7 @@ impl SendBufIo for BsdComSocket {
     fn send_bufio(&self, buf: &Arc<dyn BufIo>, off: usize, len: usize) -> Result<usize> {
         // The boundary crossing is charged like `send`, but the bytes are
         // *not*: the lent buffer rides the socket layer by reference.
-        self.net
-            .env
-            .machine
-            .charge_crossing_at(oskit_machine::boundary!("freebsd-net", "socket"));
+        enter(&self.net);
         self.tcp()?.send_bufio(buf, off, len)
     }
 }

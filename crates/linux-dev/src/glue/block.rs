@@ -8,7 +8,7 @@ use crate::linux::blkdev::{Cmd, IdeDrive};
 use crate::linux::sched::CurrentPtr;
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
-use oskit_machine::SECTOR_SIZE;
+use oskit_machine::{boundary, EventKind, SECTOR_SIZE};
 use oskit_osenv::OsEnv;
 use std::sync::Arc;
 
@@ -54,9 +54,9 @@ impl BlkIo for LinuxBlkIo {
     }
 
     fn read(&self, buf: &mut [u8], offset: u64) -> Result<usize> {
-        let b = oskit_machine::boundary!("linux-dev", "blk_read");
+        let b = boundary!("linux-dev", "blk_read");
         let _span = self.env.machine.span(b);
-        self.env.machine.charge_crossing_at(b);
+        self.env.machine.book(b, EventKind::Crossing);
         let _entry = super::curproc::GlueEntry::new(&self.current, "oskit_blk_read");
         let size = self.get_size()?;
         if offset >= size {
@@ -69,14 +69,14 @@ impl BlkIo for LinuxBlkIo {
         let (first, data) = self.read_covering(offset, len)?;
         let skew = (offset - first * SECTOR_SIZE as u64) as usize;
         buf[..len].copy_from_slice(&data[skew..skew + len]);
-        self.env.machine.charge_copy_at(b, len);
+        self.env.machine.book(b, EventKind::Copy { bytes: len });
         Ok(len)
     }
 
     fn write(&self, buf: &[u8], offset: u64) -> Result<usize> {
-        let b = oskit_machine::boundary!("linux-dev", "blk_write");
+        let b = boundary!("linux-dev", "blk_write");
         let _span = self.env.machine.span(b);
-        self.env.machine.charge_crossing_at(b);
+        self.env.machine.book(b, EventKind::Crossing);
         let _entry = super::curproc::GlueEntry::new(&self.current, "oskit_blk_write");
         let size = self.get_size()?;
         if offset >= size {
@@ -97,7 +97,7 @@ impl BlkIo for LinuxBlkIo {
             data[skew..skew + len].copy_from_slice(&buf[..len]);
             (first, data)
         };
-        self.env.machine.charge_copy_at(b, len);
+        self.env.machine.book(b, EventKind::Copy { bytes: len });
         // Pad up to a whole sector (cannot happen when aligned).
         let rem = data.len() % SECTOR_SIZE;
         if rem != 0 {

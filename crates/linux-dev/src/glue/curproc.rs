@@ -19,11 +19,8 @@ pub struct GlueEntry<'a> {
 
 impl<'a> GlueEntry<'a> {
     /// Enters the component: manufactures a process.
-    pub fn new(cur: &'a CurrentPtr, comm: &str) -> GlueEntry<'a> {
-        let saved = cur.set(Some(TaskStruct {
-            pid: -1,
-            comm: comm.to_string(),
-        }));
+    pub fn new(cur: &'a CurrentPtr, comm: &'static str) -> GlueEntry<'a> {
+        let saved = cur.set(Some(TaskStruct { pid: -1, comm }));
         GlueEntry { cur, saved }
     }
 

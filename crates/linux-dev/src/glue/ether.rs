@@ -10,6 +10,12 @@
 //! code creates a 'fake' skbuff pointing directly to this data.
 //! Otherwise, the glue code allocates a normal skbuff and calls the bufio
 //! interface's read method to copy the data into the buffer."
+//!
+//! Here the "fake" skbuff of a contiguous foreign packet is the mapping
+//! itself: the glue calls the driver's `xmit_frame` from inside the
+//! bufio's `with_map`, so the hardware hand-off reads the mapped bytes
+//! and no skbuff is built.  Only an `NETIF_F_SG` device gets a real fake
+//! skbuff, a fragment list built by `SkBuff::fake_sg`.
 
 use crate::linux::netdevice::{NetDevice, NETIF_F_SG};
 use crate::linux::sched::CurrentPtr;
@@ -19,6 +25,7 @@ use oskit_com::interfaces::netio::{EtherAddr, EtherDev, NetIo};
 use oskit_com::{
     com_interface_decl, com_object, new_com, oskit_iid, Error, IUnknown, Query, Result, SelfRef,
 };
+use oskit_machine::{boundary, EventKind};
 use oskit_osenv::OsEnv;
 use std::sync::Arc;
 
@@ -141,9 +148,9 @@ impl EtherDev for LinuxEtherDev {
         // dispatch instead of paying one interrupt each.
         let env = Arc::clone(&self.env);
         self.dev.set_rx_handler(move |skb| {
-            let b = oskit_machine::boundary!("linux-dev", "ether_rx");
+            let b = boundary!("linux-dev", "ether_rx");
             let _span = env.machine.span(b);
-            env.machine.charge_crossing_at(b);
+            env.machine.book(b, EventKind::Crossing);
             let _ = rx.push(SkbBufIo::new(skb) as Arc<dyn BufIo>);
         });
         self.dev.open();
@@ -180,9 +187,9 @@ struct LinuxTxNetIo {
 
 impl NetIo for LinuxTxNetIo {
     fn push(&self, pkt: Arc<dyn BufIo>) -> Result<()> {
-        let b = oskit_machine::boundary!("linux-dev", "ether_tx");
+        let b = boundary!("linux-dev", "ether_tx");
         let _span = self.env.machine.span(b);
-        self.env.machine.charge_crossing_at(b);
+        self.env.machine.book(b, EventKind::Crossing);
         // Entering the encapsulated component: manufacture `current`
         // (§4.7.5).
         let _entry = super::curproc::GlueEntry::new(&self.current, "oskit_tx");
@@ -253,7 +260,7 @@ impl NetIo for LinuxTxNetIo {
                 if n != len {
                     return Err(Error::Io);
                 }
-                self.env.machine.charge_copy_at(b, len);
+                self.env.machine.book(b, EventKind::Copy { bytes: len });
                 self.dev.hard_start_xmit(&skb);
                 Ok(())
             }

@@ -12,7 +12,7 @@
 #![allow(clippy::result_unit_err)]
 
 use super::sched::WaitQueue;
-use oskit_machine::{Disk, SECTOR_SIZE};
+use oskit_machine::{boundary, Disk, EventKind, SECTOR_SIZE};
 use oskit_osenv::OsEnv;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -102,7 +102,7 @@ impl IdeDrive {
             let (Some(d), Some(machine)) = (weak.upgrade(), machine.upgrade()) else {
                 return;
             };
-            machine.charge_irq_at(oskit_machine::boundary!("linux-dev", "blk_intr"));
+            machine.book(boundary!("linux-dev", "blk_intr"), EventKind::Irq);
             d.intr();
         });
         drive

@@ -17,6 +17,7 @@
 use super::netdevice::{eth_p, NetDevice, ETH_HLEN};
 use super::sched::WaitQueue;
 use super::skbuff::SkBuff;
+use oskit_machine::{boundary, EventKind};
 use oskit_osenv::{OsEnv, TimerHandle};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -256,10 +257,10 @@ impl LinuxSock {
                 if space > 0 {
                     let n = space.min(buf.len() - written);
                     // memcpy_fromfs: the user→kernel copy.
-                    self.inet()
-                        .env
-                        .machine
-                        .charge_copy_at(oskit_machine::boundary!("linux-dev", "sockbuf"), n);
+                    self.inet().env.machine.book(
+                        boundary!("linux-dev", "sockbuf"),
+                        EventKind::Copy { bytes: n },
+                    );
                     pcb.pending.extend(&buf[written..written + n]);
                     written += n;
                     drop(pcb);
@@ -285,10 +286,10 @@ impl LinuxSock {
                     let queued = pcb.recvq.len();
                     drop(pcb);
                     // memcpy_tofs: the kernel→user copy.
-                    self.inet()
-                        .env
-                        .machine
-                        .charge_copy_at(oskit_machine::boundary!("linux-dev", "sockbuf"), n);
+                    self.inet().env.machine.book(
+                        boundary!("linux-dev", "sockbuf"),
+                        EventKind::Copy { bytes: n },
+                    );
                     // Window update only when it reopens substantially.
                     if n >= 2 * MSS && queued < RCVBUF / 2 {
                         self.send_segment(tf::ACK, &[], false);
@@ -665,7 +666,7 @@ impl LinuxInet {
     fn rx(self: &Arc<Self>, mut skb: SkBuff) {
         self.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("linux-dev", "ether_in"));
+            .book(boundary!("linux-dev", "ether_in"), EventKind::Layer);
         match skb.protocol {
             eth_p::ARP => {
                 skb.pull(ETH_HLEN);
@@ -722,9 +723,10 @@ impl LinuxInet {
             if total > p.len() || ihl < 20 || ihl > total {
                 return;
             }
-            self.env
-                .machine
-                .charge_checksum_at(oskit_machine::boundary!("linux-dev", "ip_in"), ihl);
+            self.env.machine.book(
+                boundary!("linux-dev", "ip_in"),
+                EventKind::Checksum { bytes: ihl },
+            );
             if checksum(&p[..ihl]) != 0 {
                 return;
             }
@@ -746,10 +748,11 @@ impl LinuxInet {
         }
         self.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("linux-dev", "tcp_in"));
-        self.env
-            .machine
-            .charge_checksum_at(oskit_machine::boundary!("linux-dev", "tcp_in"), seg.len());
+            .book(boundary!("linux-dev", "tcp_in"), EventKind::Layer);
+        self.env.machine.book(
+            boundary!("linux-dev", "tcp_in"),
+            EventKind::Checksum { bytes: seg.len() },
+        );
         let sport = u16::from_be_bytes([seg[0], seg[1]]);
         let dport = u16::from_be_bytes([seg[2], seg[3]]);
         let seq = u32::from_be_bytes([seg[4], seg[5], seg[6], seg[7]]);
@@ -788,7 +791,7 @@ impl LinuxInet {
     ) {
         self.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("linux-dev", "tcp_out"));
+            .book(boundary!("linux-dev", "tcp_out"), EventKind::Layer);
         let mut seg = vec![0u8; 20 + payload.len()];
         seg[0..2].copy_from_slice(&local.1.to_be_bytes());
         seg[2..4].copy_from_slice(&remote.1.to_be_bytes());
@@ -799,9 +802,10 @@ impl LinuxInet {
         seg[14..16].copy_from_slice(&wnd.to_be_bytes());
         seg[20..].copy_from_slice(payload);
         // Pseudo-header checksum.
-        self.env
-            .machine
-            .charge_checksum_at(oskit_machine::boundary!("linux-dev", "tcp_out"), seg.len());
+        self.env.machine.book(
+            boundary!("linux-dev", "tcp_out"),
+            EventKind::Checksum { bytes: seg.len() },
+        );
         let mut pseudo = Vec::with_capacity(12 + seg.len());
         pseudo.extend_from_slice(&local.0.octets());
         pseudo.extend_from_slice(&remote.0.octets());
@@ -817,7 +821,7 @@ impl LinuxInet {
     fn ip_output(self: &Arc<Self>, dst: Ipv4Addr, proto: u8, payload: &[u8]) {
         self.env
             .machine
-            .charge_layer_at(oskit_machine::boundary!("linux-dev", "ip_out"));
+            .book(boundary!("linux-dev", "ip_out"), EventKind::Layer);
         assert!(
             payload.len() + 20 <= self.dev.mtu,
             "no fragmentation support"
@@ -836,9 +840,10 @@ impl LinuxInet {
         p[9] = proto;
         p[12..16].copy_from_slice(&self.ip.octets());
         p[16..20].copy_from_slice(&dst.octets());
-        self.env
-            .machine
-            .charge_checksum_at(oskit_machine::boundary!("linux-dev", "ip_out"), 20);
+        self.env.machine.book(
+            boundary!("linux-dev", "ip_out"),
+            EventKind::Checksum { bytes: 20 },
+        );
         let csum = checksum(&p[..20]);
         p[10..12].copy_from_slice(&csum.to_be_bytes());
         p[20..].copy_from_slice(payload);

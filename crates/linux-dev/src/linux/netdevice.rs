@@ -7,7 +7,7 @@
 //! packet handler is registered (in the OSKit that handler is the glue).
 
 use super::skbuff::SkBuff;
-use oskit_machine::Nic;
+use oskit_machine::{boundary, EventKind, Nic};
 use oskit_osenv::OsEnv;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -70,7 +70,7 @@ pub struct NetDevice {
 impl NetDevice {
     /// Creates the device bound to its hardware (driver `probe`).
     pub fn new(name: impl Into<String>, env: &Arc<OsEnv>, hw: Arc<Nic>) -> Arc<NetDevice> {
-        hw.book_frames_at(oskit_machine::boundary!("linux-dev", "net_intr"));
+        hw.book_frames_at(boundary!("linux-dev", "net_intr"));
         Arc::new(NetDevice {
             name: name.into(),
             dev_addr: hw.mac(),
@@ -135,7 +135,7 @@ impl NetDevice {
             let (Some(dev), Some(machine)) = (weak.upgrade(), machine.upgrade()) else {
                 return;
             };
-            machine.charge_rx_irq_at(oskit_machine::boundary!("linux-dev", "net_intr"));
+            machine.book(boundary!("linux-dev", "net_intr"), EventKind::RxIrq);
             if napi {
                 dev.napi_schedule();
             } else {
@@ -190,15 +190,15 @@ impl NetDevice {
     /// the CPU but can never re-enter it from interrupt context.  Only
     /// when the ring runs dry is the interrupt re-armed.
     fn napi_poll(self: &Arc<Self>) {
-        let b = oskit_machine::boundary!("linux-dev", "net_rx_poll");
+        let b = boundary!("linux-dev", "net_rx_poll");
         let budget = self.napi_budget.load(Ordering::Relaxed);
-        let mut frames = 0u64;
-        while (frames as usize) < budget {
+        let mut frames = 0;
+        while frames < budget {
             let Some(frame) = self.hw.rx_pop() else { break };
             self.deliver_frame(frame);
             frames += 1;
         }
-        self.env.machine.charge_rx_poll_at(b, frames);
+        self.env.machine.book(b, EventKind::Poll { frames });
         if self.hw.rx_pending() > 0 {
             let weak = Arc::downgrade(self);
             self.env.machine.at_cpu(0, move |_| {
@@ -298,10 +298,12 @@ impl NetDevice {
             );
             skb.with_frags(|frags| {
                 let parts: Vec<&[u8]> = frags.iter().map(|fr| fr.data).collect();
-                self.env.machine.charge_gather_at(
-                    oskit_machine::boundary!("linux-dev", "ether_tx"),
-                    skb.len(),
-                    parts.len(),
+                self.env.machine.book(
+                    boundary!("linux-dev", "ether_tx"),
+                    EventKind::Gather {
+                        bytes: skb.len(),
+                        fragments: parts.len(),
+                    },
                 );
                 self.hw.transmit_sg(&parts);
             });

@@ -5,9 +5,11 @@
 //! assumptions about processes and often accesses the 'current process'
 //! structure directly (e.g., through ... Linux's `current` pointer)."
 //!
-//! The donor-style code below *uses* these facilities exactly as Linux
-//! code would (`current()`, `sleep_on`, `wake_up`); the glue manufactures
-//! the processes behind them on demand.
+//! The donor-style driver and protocol code *uses* the wait queues
+//! exactly as Linux code would (`sleep_on`, `wake_up`).  The glue
+//! manufactures a `current` task at every entry and parks it around
+//! blocking calls (`glue::curproc`), but no donor code in this tree reads
+//! it: only this module's and the glue's tests call `current()`.
 
 use oskit_osenv::{OsEnv, OsenvSleep};
 use parking_lot::Mutex;
@@ -19,7 +21,7 @@ pub struct TaskStruct {
     /// Process id; glue-manufactured tasks use a synthetic pid.
     pub pid: i32,
     /// Command name.
-    pub comm: String,
+    pub comm: &'static str,
 }
 
 /// The component-wide `current` pointer.
@@ -155,7 +157,7 @@ mod tests {
         let c = CurrentPtr::new();
         let prev = c.set(Some(TaskStruct {
             pid: -1,
-            comm: "glue".into(),
+            comm: "glue",
         }));
         assert!(prev.is_none());
         assert_eq!(c.current().comm, "glue");

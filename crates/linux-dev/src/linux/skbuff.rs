@@ -4,11 +4,13 @@
 //! it keeps Linux 2.0's names and semantics (`alloc_skb`, `skb_reserve`,
 //! `skb_put`, `skb_push`, `skb_pull`, the head/data/tail/end layout) so
 //! the glue around it has something real to encapsulate.  The one Rust
-//! twist is [`SkbStorage::Mapped`]: the "fake skbuff pointing directly to
-//! this data" that the glue manufactures when a foreign `bufio` maps
-//! contiguously (§4.7.3) — read-only, used only on the transmit hand-off.
+//! twist is [`SkbStorage::SgMapped`]: a read-only fragment-list "fake
+//! skbuff" aliasing a foreign scatter-gather `bufio`, used only on the
+//! `NETIF_F_SG` transmit hand-off.  A foreign packet that maps
+//! contiguously needs no skbuff at all: the glue hands the driver the
+//! mapped bytes from inside the `bufio`'s `with_map` (§4.7.3).
 
-use oskit_com::interfaces::blkio::{BufIo, IoFragment, SgBufIo};
+use oskit_com::interfaces::blkio::{IoFragment, SgBufIo};
 use oskit_com::{Error, Result};
 use std::sync::Arc;
 
@@ -16,11 +18,9 @@ use std::sync::Arc;
 pub enum SkbStorage {
     /// The normal case: one contiguous owned buffer.
     Owned(Vec<u8>),
-    /// A "fake" skbuff aliasing a foreign mapped buffer (zero copy).
-    Mapped(Arc<dyn BufIo>),
     /// A fragment-list "fake" skbuff aliasing a foreign scatter-gather
-    /// buffer — the discontiguous analogue of [`SkbStorage::Mapped`],
-    /// mirroring Linux's `skb_shinfo->frags` page list.
+    /// buffer (zero copy), mirroring Linux's `skb_shinfo->frags` page
+    /// list.
     SgMapped(Arc<dyn SgBufIo>),
 }
 
@@ -71,38 +71,18 @@ impl SkBuff {
         }
     }
 
-    /// Builds a read-only "fake skbuff" aliasing a mapped foreign buffer
-    /// (§4.7.3); `len` is the packet length.
-    ///
-    /// Fails with [`Error::Inval`] when the buffer holds fewer than `len`
-    /// bytes — a too-short bufio must be rejected here, not papered over
-    /// by growing `end` past the storage it aliases.
-    pub fn fake_mapped(bufio: Arc<dyn BufIo>, len: usize) -> Result<SkBuff> {
-        let size = bufio.get_size()? as usize;
-        if len > size {
-            return Err(Error::Inval);
-        }
-        Ok(SkBuff {
-            storage: SkbStorage::Mapped(bufio),
-            data: 0,
-            tail: len,
-            end: size,
-            dev: None,
-            protocol: 0,
-        })
-    }
-
     /// Builds a read-only fragment-list "fake skbuff" aliasing a foreign
-    /// scatter-gather buffer: the `NETIF_F_SG` counterpart of
-    /// [`SkBuff::fake_mapped`], with the fragment list standing in for
-    /// `skb_shinfo->frags`.
+    /// scatter-gather buffer (§4.7.3's "fake skbuff pointing directly to
+    /// this data", for an `NETIF_F_SG` device), with the fragment list
+    /// standing in for `skb_shinfo->frags`.
     ///
     /// Construction probes the fragment mapping once (as Linux fills the
     /// frag descriptors when the skb is built): a buffer that cannot
     /// expose its range as local fragments fails with
     /// [`Error::NotImpl`] so the caller can fall back to the
     /// contiguous-map/copy ladder, and a too-short buffer fails with
-    /// [`Error::Inval`].
+    /// [`Error::Inval`] — rejected here, not papered over by growing
+    /// `end` past the storage it aliases.
     pub fn fake_sg(sg: Arc<dyn SgBufIo>, len: usize) -> Result<SkBuff> {
         let size = sg.get_size()? as usize;
         if len > size {
@@ -117,11 +97,6 @@ impl SkBuff {
             dev: None,
             protocol: 0,
         })
-    }
-
-    /// Whether this is a writable, owned skbuff.
-    pub fn is_owned(&self) -> bool {
-        matches!(self.storage, SkbStorage::Owned(_))
     }
 
     /// Whether this is a fragment-list (scatter-gather) skbuff, which
@@ -174,7 +149,7 @@ impl SkBuff {
         self.tail += len;
         match &mut self.storage {
             SkbStorage::Owned(v) => &mut v[start..start + len],
-            SkbStorage::Mapped(_) | SkbStorage::SgMapped(_) => panic!("skb_put on mapped skb"),
+            SkbStorage::SgMapped(_) => panic!("skb_put on mapped skb"),
         }
     }
 
@@ -190,7 +165,7 @@ impl SkBuff {
         let start = self.data;
         match &mut self.storage {
             SkbStorage::Owned(v) => &mut v[start..start + len],
-            SkbStorage::Mapped(_) | SkbStorage::SgMapped(_) => panic!("skb_push on mapped skb"),
+            SkbStorage::SgMapped(_) => panic!("skb_push on mapped skb"),
         }
     }
 
@@ -210,8 +185,7 @@ impl SkBuff {
         self.tail = self.data + len;
     }
 
-    /// Runs `f` over the live bytes (works for owned and mapped storage —
-    /// this is the zero-copy read path the driver transmit uses).
+    /// Runs `f` over the live bytes of an owned skbuff.
     ///
     /// # Panics
     ///
@@ -220,31 +194,19 @@ impl SkBuff {
     pub fn with_data<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         match &self.storage {
             SkbStorage::Owned(v) => f(&v[self.data..self.tail]),
-            SkbStorage::Mapped(b) => {
-                let mut out = None;
-                let mut f = Some(f);
-                b.with_map(self.data, self.tail - self.data, &mut |s| {
-                    if let Some(f) = f.take() {
-                        out = Some(f(s));
-                    }
-                })
-                .expect("mapped skb lost its mapping");
-                out.expect("with_map did not call back")
-            }
             SkbStorage::SgMapped(_) => panic!("with_data on sg skb"),
         }
     }
 
     /// Runs `f` over the live bytes as a fragment list — the
-    /// `skb_shinfo->frags` walk an SG driver performs.  Owned and
-    /// contiguous-mapped skbuffs present a single fragment, so a driver
-    /// written against this interface handles every storage kind.
+    /// `skb_shinfo->frags` walk an SG driver performs.  An owned skbuff
+    /// presents a single fragment, so a driver written against this
+    /// interface handles every storage kind.
     pub fn with_frags<R>(&self, f: impl FnOnce(&[IoFragment<'_>]) -> R) -> R {
         match &self.storage {
             SkbStorage::Owned(v) => f(&[IoFragment {
                 data: &v[self.data..self.tail],
             }]),
-            SkbStorage::Mapped(_) => self.with_data(|d| f(&[IoFragment { data: d }])),
             SkbStorage::SgMapped(b) => {
                 let mut out = None;
                 let mut f = Some(f);
@@ -263,7 +225,7 @@ impl SkBuff {
     pub fn data_mut(&mut self) -> &mut [u8] {
         match &mut self.storage {
             SkbStorage::Owned(v) => &mut v[self.data..self.tail],
-            SkbStorage::Mapped(_) | SkbStorage::SgMapped(_) => panic!("data_mut on mapped skb"),
+            SkbStorage::SgMapped(_) => panic!("data_mut on mapped skb"),
         }
     }
 
@@ -326,39 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn mapped_skb_is_zero_copy_readable() {
-        let b = VecBufIo::from_vec(vec![9u8; 64]);
-        let skb = SkBuff::fake_mapped(b, 64).unwrap();
-        assert!(!skb.is_owned());
-        assert!(!skb.is_sg());
-        assert_eq!(skb.len(), 64);
-        skb.with_data(|d| assert!(d.iter().all(|&x| x == 9)));
-    }
-
-    #[test]
-    #[should_panic(expected = "skb_put on mapped skb")]
-    fn mapped_skb_is_read_only() {
-        let b = VecBufIo::from_vec(vec![0u8; 64]);
-        let mut skb = SkBuff::fake_mapped(b, 32).unwrap();
-        skb.put(1);
-    }
-
-    #[test]
-    fn fake_mapped_rejects_short_bufio() {
-        // A bufio shorter than the claimed packet length must be refused,
-        // not silently masked by growing `end`.
-        let b = VecBufIo::from_vec(vec![0u8; 10]);
-        assert!(matches!(SkBuff::fake_mapped(b, 11), Err(Error::Inval)));
-    }
-
-    #[test]
     fn sg_skb_walks_fragments() {
         // A contiguous SgBufIo presents one fragment; the walk matches
         // the bytes exactly.
         let b = VecBufIo::from_vec((0..40).collect());
         let skb = SkBuff::fake_sg(b, 40).unwrap();
         assert!(skb.is_sg());
-        assert!(!skb.is_owned());
         let n = skb.with_frags(|frags| frags.len());
         assert_eq!(n, 1);
         assert_eq!(skb.to_vec(), (0..40).collect::<Vec<u8>>());

@@ -41,8 +41,6 @@ struct State {
     /// single priority level).
     in_service: bool,
     handlers: Vec<Option<Handler>>,
-    /// Count of interrupts delivered, per line.
-    delivered: [u64; NUM_IRQS],
 }
 
 /// The interrupt controller.
@@ -66,7 +64,6 @@ impl IrqController {
                 pending: 0,
                 in_service: false,
                 handlers: (0..NUM_IRQS).map(|_| None).collect(),
-                delivered: [0; NUM_IRQS],
             }),
         }
     }
@@ -136,11 +133,6 @@ impl IrqController {
         self.dispatch_pending();
     }
 
-    /// Returns how many interrupts have been delivered on `line`.
-    pub fn delivered(&self, line: u8) -> u64 {
-        self.state.lock().delivered[line as usize]
-    }
-
     /// Delivers pending, unmasked interrupts while enabled.
     fn dispatch_pending(&self) {
         loop {
@@ -160,7 +152,6 @@ impl IrqController {
                 match st.handlers[line].take() {
                     Some(h) => {
                         st.in_service = true;
-                        st.delivered[line] += 1;
                         (line, h)
                     }
                     None => continue, // Spurious: unmasked line with no handler.
@@ -229,7 +220,6 @@ mod tests {
         ctl.enable();
         ctl.raise(5);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(ctl.delivered(5), 1);
     }
 
     #[test]

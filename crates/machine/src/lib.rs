@@ -20,7 +20,6 @@ pub mod timer;
 pub mod trap;
 pub mod uart;
 
-pub use costs::CostModel;
 pub use disk::{Completion, Disk, DiskConfig, SECTOR_SIZE};
 pub use irq::{IrqController, IrqGuard, NUM_IRQS};
 pub use machine::{BoundarySpan, Machine};

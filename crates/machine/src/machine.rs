@@ -1,6 +1,6 @@
 //! The simulated PC: RAM, interrupt controller, CPU clock and accounting.
 
-use crate::costs::CostModel;
+use crate::costs;
 use crate::irq::IrqController;
 use crate::phys::PhysMem;
 use crate::sched::{EventId, Ns, Sim};
@@ -13,10 +13,10 @@ use std::sync::Arc;
 ///
 /// A machine owns its physical memory, interrupt controller, work ledger
 /// and a **CPU clock**: virtual time consumed by code logically executing
-/// on this machine.  The clock advances when components charge work
-/// ([`Machine::charge_copy_at`] and friends) and is pulled forward to the
-/// global event clock whenever an event (packet arrival, disk completion)
-/// is delivered to the machine.
+/// on this machine.  The clock advances when components book work
+/// ([`Machine::book`]) and is pulled forward to the global event clock
+/// whenever an event (packet arrival, disk completion) is delivered to
+/// the machine.
 pub struct Machine {
     /// Machine name, for diagnostics ("sender", "receiver", ...).
     pub name: String,
@@ -26,10 +26,7 @@ pub struct Machine {
     pub phys: PhysMem,
     /// The interrupt controller.
     pub irq: Arc<IrqController>,
-    /// Rates converting mechanical work to virtual time.
-    pub costs: CostModel,
-    /// The work ledger: every charge, booked at the boundary it was
-    /// paid at.
+    /// The work ledger: every booking, at the boundary it was made at.
     tracer: Tracer,
     /// Scripted fault schedules.
     faults: FaultInjector,
@@ -37,21 +34,20 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine with `mem_size` bytes of RAM and default costs.
+    /// Creates a machine with `mem_size` bytes of RAM.
     pub fn new(sim: &Arc<Sim>, name: impl Into<String>, mem_size: usize) -> Arc<Machine> {
         Arc::new(Machine {
             name: name.into(),
             sim: Arc::clone(sim),
             phys: PhysMem::new(mem_size),
             irq: Arc::new(IrqController::new()),
-            costs: CostModel::default(),
             tracer: Tracer::new(),
             faults: FaultInjector::new(),
             clock: AtomicU64::new(0),
         })
     }
 
-    /// This machine's tracer: the per-boundary ledger of every charge.
+    /// This machine's tracer: the per-boundary ledger of every booking.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -109,92 +105,17 @@ impl Machine {
         })
     }
 
-    /// Advances the CPU clock by `ns` and books `kind` at `boundary`.
-    fn charge(&self, boundary: BoundaryId, kind: EventKind, ns: Ns) {
-        self.advance(ns);
-        self.tracer.record(boundary, kind);
-    }
-
-    /// Charges a memory copy of `bytes` bytes at `boundary`: advances the
-    /// CPU clock and books the copy.
+    /// Books `kind` at `boundary`: advances the CPU clock by the kind's
+    /// [`price`](crate::costs::price) and bumps the boundary's counters.
     ///
-    /// Every `memcpy` performed by driver, glue, or protocol code calls
-    /// this, so the copy counts behind Table 1's send/receive asymmetry
-    /// are measured, not asserted.
-    pub fn charge_copy_at(&self, boundary: BoundaryId, bytes: usize) {
-        let kind = EventKind::Copy {
-            bytes: bytes as u64,
-        };
-        self.charge(boundary, kind, self.costs.copy_ns(bytes));
-    }
-
-    /// Charges a scatter-gather hand-off of `bytes` bytes in `fragments`
-    /// fragments at `boundary`.
-    ///
-    /// The CPU programs one DMA descriptor per fragment
-    /// ([`CostModel::sg_frag_ns`] each); the bytes themselves are moved
-    /// by the gathering hardware, so no copy time and no `bytes_copied`
-    /// are charged.  This is what an SG-capable driver pays where a
-    /// contiguous-only driver pays [`Machine::charge_copy_at`].
-    pub fn charge_gather_at(&self, boundary: BoundaryId, bytes: usize, fragments: usize) {
-        let kind = EventKind::Gather {
-            bytes: bytes as u64,
-        };
-        self.charge(boundary, kind, self.costs.sg_frag_ns * fragments as u64);
-    }
-
-    /// Charges a checksum pass over `bytes` bytes at `boundary`.
-    pub fn charge_checksum_at(&self, boundary: BoundaryId, bytes: usize) {
-        let kind = EventKind::Checksum {
-            bytes: bytes as u64,
-        };
-        self.charge(boundary, kind, self.costs.checksum_ns(bytes));
-    }
-
-    /// Charges one component-boundary crossing (COM dispatch plus glue
-    /// prologue/epilogue) at `boundary` — the per-call price of
-    /// separability that dominates Table 2's latency overhead.
-    pub fn charge_crossing_at(&self, boundary: BoundaryId) {
-        self.charge(boundary, EventKind::Crossing, self.costs.crossing_ns);
-    }
-
-    /// Charges one layer of per-packet protocol processing at `boundary`.
-    pub fn charge_layer_at(&self, boundary: BoundaryId) {
-        self.charge(boundary, EventKind::Layer, self.costs.per_layer_ns);
-    }
-
-    /// Charges the fixed cost of taking a hardware interrupt at
-    /// `boundary`.
-    pub fn charge_irq_at(&self, boundary: BoundaryId) {
-        self.charge(boundary, EventKind::Irq, self.costs.irq_ns);
-    }
-
-    /// Charges a NIC *receive* interrupt at `boundary`: priced and
-    /// counted like [`Machine::charge_irq_at`], and also counted in the
-    /// boundary's `rx_irqs`.
-    pub fn charge_rx_irq_at(&self, boundary: BoundaryId) {
-        self.charge(boundary, EventKind::RxIrq, self.costs.irq_ns);
-    }
-
-    /// Charges one budgeted poll dispatch that delivered `frames` frames,
-    /// attributed to `boundary`.
-    ///
-    /// This is the NAPI bargain made explicit in the cost model: the CPU
-    /// pays [`CostModel::poll_ns`] once per *batch* where the
-    /// interrupt-per-frame path pays [`CostModel::irq_ns`] per *frame*.
-    /// The per-frame protocol and glue work is still charged by whoever
-    /// consumes the frames — this prices only the dispatch.
-    pub fn charge_rx_poll_at(&self, boundary: BoundaryId, frames: u64) {
-        self.charge(boundary, EventKind::Poll { frames }, self.costs.poll_ns);
-    }
-
-    /// Books `kind` at `boundary` without charging any work — for
-    /// observations that have no cost-model price of their own:
-    /// allocations, sleeps and wakeups reported by the osenv, and
-    /// buffer-cache hits, misses and evictions (a hit costs no device
-    /// I/O and no copy; a miss's fill and an eviction's write-back are
-    /// charged by the backing `blkio` itself).
-    pub fn note_at(&self, boundary: BoundaryId, kind: EventKind) {
+    /// This is the one door into the ledger.  Every `memcpy`, checksum,
+    /// glue crossing, protocol layer, interrupt and poll performed by
+    /// driver, glue or protocol code books here, so the counts and the
+    /// time behind Tables 1 and 2 are measured, not asserted; unpriced
+    /// observations (allocations, sleeps, cache hits, ...) book here too
+    /// and cost nothing.
+    pub fn book(&self, boundary: BoundaryId, kind: EventKind) {
+        self.advance(costs::price(kind));
         self.tracer.record(boundary, kind);
     }
 
@@ -237,9 +158,9 @@ mod tests {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 4096);
         let b = oskit_trace::boundary!("machine-test", "clock_seam");
-        m.charge_copy_at(b, 25_000); // 1 ms at 25 MB/s.
+        m.book(b, EventKind::Copy { bytes: 25_000 }); // 1 ms at 25 MB/s.
         assert_eq!(m.clock(), 1_000_000);
-        m.charge_crossing_at(b);
+        m.book(b, EventKind::Crossing);
         assert_eq!(m.clock(), 1_000_500);
     }
 
@@ -283,7 +204,7 @@ mod tests {
         let before = m.work();
         {
             let _span = m.span(b);
-            m.charge_copy_at(b, 25_000); // 1 ms at 25 MB/s
+            m.book(b, EventKind::Copy { bytes: 25_000 }); // 1 ms at 25 MB/s
         }
         let after = m.work();
         // The span itself charged nothing beyond the copy.
@@ -303,7 +224,13 @@ mod tests {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 4096);
         let b = oskit_trace::boundary!("machine-test", "sg_seam");
-        m.charge_gather_at(b, 1514, 2);
+        m.book(
+            b,
+            EventKind::Gather {
+                bytes: 1514,
+                fragments: 2,
+            },
+        );
         let s = m.work();
         // The bytes moved, but nothing was copied by the CPU...
         assert_eq!(s.bytes_gathered, 1514);
@@ -311,8 +238,8 @@ mod tests {
         assert_eq!(s.bytes_copied, 0);
         // ...which only cost two descriptor writes of clock time, far
         // below the ~60 µs a 1514-byte copy would have charged.
-        assert_eq!(m.clock(), 2 * m.costs.sg_frag_ns);
-        assert!(m.clock() < m.costs.copy_ns(1514) / 10);
+        assert_eq!(m.clock(), 600);
+        assert!(m.clock() < costs::price(EventKind::Copy { bytes: 1514 }) / 10);
         let bm = *m.tracer().metrics().get("machine-test", "sg_seam").unwrap();
         assert_eq!(
             (bm.gathers, bm.bytes_gathered, bm.bytes_copied),
@@ -326,11 +253,11 @@ mod tests {
         let m = Machine::new(&sim, "m", 4096);
         let a = oskit_trace::boundary!("machine-test", "work_a");
         let b = oskit_trace::boundary!("machine-test", "work_b");
-        m.charge_copy_at(a, 100);
-        m.charge_copy_at(b, 200);
-        m.charge_checksum_at(a, 50);
-        m.charge_irq_at(a);
-        m.charge_rx_irq_at(b);
+        m.book(a, EventKind::Copy { bytes: 100 });
+        m.book(b, EventKind::Copy { bytes: 200 });
+        m.book(a, EventKind::Checksum { bytes: 50 });
+        m.book(a, EventKind::Irq);
+        m.book(b, EventKind::RxIrq);
         // The aggregate is the sum over boundaries.
         let s = m.work();
         assert_eq!(s.bytes_copied, 300);
@@ -339,5 +266,50 @@ mod tests {
         assert_eq!((s.irqs, s.rx_irqs), (2, 1));
         let bm = *m.tracer().metrics().get("machine-test", "work_a").unwrap();
         assert_eq!((bm.copies, bm.checksums, bm.irqs, bm.rx_irqs), (1, 1, 1, 0));
+    }
+
+    /// The price list, one row per kind: the clock advance a single
+    /// booking costs, and the counter it bumps at the seam.
+    #[test]
+    fn book_prices_every_kind() {
+        type Count = fn(&BoundaryMetrics) -> u64;
+        let table: [(EventKind, Ns, Count); 16] = [
+            (EventKind::Crossing, 500, |m| m.crossings),
+            (EventKind::Copy { bytes: 1500 }, 60_000, |m| m.copies),
+            (EventKind::Alloc { bytes: 32 }, 0, |m| m.allocs),
+            (EventKind::Sleep, 0, |m| m.sleeps),
+            (EventKind::Wakeup, 0, |m| m.wakeups),
+            (EventKind::Irq, 5_000, |m| m.irqs),
+            (EventKind::RxIrq, 5_000, |m| m.rx_irqs),
+            (EventKind::Poll { frames: 7 }, 1_500, |m| m.polls),
+            (
+                EventKind::Gather {
+                    bytes: 1500,
+                    fragments: 3,
+                },
+                900,
+                |m| m.gathers,
+            ),
+            (EventKind::AllocFailed { bytes: 64 }, 0, |m| m.alloc_failed),
+            (EventKind::CacheHit, 0, |m| m.cache_hits),
+            (EventKind::CacheMiss, 0, |m| m.cache_misses),
+            (EventKind::CacheEvict, 0, |m| m.cache_evictions),
+            (EventKind::Layer, 2_000, |m| m.layers),
+            (EventKind::Checksum { bytes: 1500 }, 30_000, |m| m.checksums),
+            (EventKind::PacketReceived, 0, |m| m.packets_received),
+        ];
+        let sim = Sim::new();
+        let b = oskit_trace::boundary!("machine-test", "price_seam");
+        for (kind, ns, count) in table {
+            let m = Machine::new(&sim, "m", 4096);
+            m.book(b, kind);
+            assert_eq!(m.clock(), ns, "{kind:?}");
+            let row = *m
+                .tracer()
+                .metrics()
+                .get("machine-test", "price_seam")
+                .unwrap();
+            assert_eq!(count(&row), 1, "{kind:?}");
+        }
     }
 }

@@ -302,7 +302,7 @@ impl Nic {
         };
         self.rx_enqueued.fetch_add(1, Ordering::Relaxed);
         if let Some(&boundary) = self.frame_boundary.get() {
-            machine.note_at(boundary, EventKind::PacketReceived);
+            machine.book(boundary, EventKind::PacketReceived);
         }
         if !self.rx_irq_armed.load(Ordering::Relaxed) {
             // The driver disarmed the interrupt and is draining the ring

@@ -19,7 +19,7 @@ use oskit_com::interfaces::fs::{
 };
 use oskit_com::{com_object, new_com, Error, IUnknown, Query, Result, SelfRef};
 
-use oskit_machine::Sim;
+use oskit_machine::{boundary, EventKind, Sim};
 use oskit_osenv::{OsEnv, ProcessLock};
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ impl Mount {
     fn enter(&self) -> LockGuard<'_> {
         if let Some(env) = &self.env {
             env.machine
-                .charge_crossing_at(oskit_machine::boundary!("netbsd-fs", "vfs_enter"));
+                .book(boundary!("netbsd-fs", "vfs_enter"), EventKind::Crossing);
         }
         if let Some((sim, lock)) = &self.lock {
             lock.enter(sim);
@@ -192,8 +192,10 @@ impl File for FfsNode {
         // The cache-page → caller-buffer copy-out; the lent-page path
         // (`read_bufs`) hands the pages themselves out instead.
         if let Some(env) = &self.mount.env {
-            env.machine
-                .charge_copy_at(oskit_machine::boundary!("netbsd-fs", "fs_read"), n);
+            env.machine.book(
+                boundary!("netbsd-fs", "fs_read"),
+                EventKind::Copy { bytes: n },
+            );
         }
         Ok(n)
     }

@@ -227,10 +227,9 @@ impl OsEnv {
         }
         let got = self.mem.lock().alloc(size, align, flags);
         match got {
-            Some(_) => self.machine.note_at(
-                boundary!("osenv", "mem"),
-                EventKind::Alloc { bytes: size as u64 },
-            ),
+            Some(_) => self
+                .machine
+                .book(boundary!("osenv", "mem"), EventKind::Alloc { bytes: size }),
             None => self.note_alloc_failure(size, flags),
         }
         got
@@ -239,9 +238,9 @@ impl OsEnv {
     /// Books one allocation failure: a trace event on the `osenv::mem`
     /// boundary plus a warning through the log sink.
     fn note_alloc_failure(&self, size: usize, flags: MemFlags) {
-        self.machine.note_at(
+        self.machine.book(
             boundary!("osenv", "mem"),
-            EventKind::AllocFailed { bytes: size as u64 },
+            EventKind::AllocFailed { bytes: size },
         );
         let ctx = if flags.atomic { " (GFP_ATOMIC)" } else { "" };
         self.log(
@@ -348,7 +347,7 @@ impl OsenvSleep {
     pub fn sleep(&self) {
         self.env
             .machine
-            .note_at(boundary!("osenv", "sleep"), EventKind::Sleep);
+            .book(boundary!("osenv", "sleep"), EventKind::Sleep);
         self.rec.wait(self.env.sim());
     }
 
@@ -356,7 +355,7 @@ impl OsenvSleep {
     pub fn sleep_timeout(&self, timeout: Ns) -> WakeReason {
         self.env
             .machine
-            .note_at(boundary!("osenv", "sleep"), EventKind::Sleep);
+            .book(boundary!("osenv", "sleep"), EventKind::Sleep);
         self.rec.wait_timeout(self.env.sim(), timeout)
     }
 
@@ -364,7 +363,7 @@ impl OsenvSleep {
     pub fn wakeup(&self) {
         self.env
             .machine
-            .note_at(boundary!("osenv", "sleep"), EventKind::Wakeup);
+            .book(boundary!("osenv", "sleep"), EventKind::Wakeup);
         self.rec.signal(self.env.sim());
     }
 }

@@ -1,4 +1,4 @@
-//! What a charge or note books at a boundary.
+//! What a booking records at a boundary.
 
 /// What happened at a boundary: each kind bumps one or two of the
 /// boundary's [`BoundaryMetrics`](crate::BoundaryMetrics) counters.
@@ -9,12 +9,12 @@ pub enum EventKind {
     /// Payload bytes were physically copied at the boundary.
     Copy {
         /// Number of bytes copied.
-        bytes: u64,
+        bytes: usize,
     },
     /// Memory was allocated through the osenv at this boundary.
     Alloc {
         /// Number of bytes allocated.
-        bytes: u64,
+        bytes: usize,
     },
     /// A thread blocked (osenv sleep) at this boundary.
     Sleep,
@@ -28,19 +28,21 @@ pub enum EventKind {
     /// A budgeted poll (NAPI-style batch drain) ran at this boundary.
     Poll {
         /// Number of frames the poll delivered.
-        frames: u64,
+        frames: usize,
     },
     /// Payload bytes were handed to scatter-gather hardware as a fragment
     /// list — descriptors were programmed, but no byte was copied.
     Gather {
         /// Number of bytes gathered.
-        bytes: u64,
+        bytes: usize,
+        /// Number of fragments (one DMA descriptor each).
+        fragments: usize,
     },
     /// An osenv allocation failed at this boundary (pool exhaustion or an
     /// injected fault); the component must degrade gracefully.
     AllocFailed {
         /// Number of bytes requested.
-        bytes: u64,
+        bytes: usize,
     },
     /// A buffer-cache lookup was satisfied from memory at this boundary —
     /// no device I/O, no copy.
@@ -56,7 +58,7 @@ pub enum EventKind {
     /// A checksum pass ran at this boundary.
     Checksum {
         /// Number of bytes checksummed.
-        bytes: u64,
+        bytes: usize,
     },
     /// The NIC this boundary's driver services queued a frame on its
     /// receive ring.

@@ -4,14 +4,14 @@
 //! *attributing* overhead: how many control transfers and payload copies
 //! does each layer of glue code add between encapsulated donor-OS
 //! components?  This crate holds the answer, and it is the machine's
-//! only ledger: every charge a component makes is booked on a named
+//! only ledger: every event a component books lands on a named
 //! boundary, and aggregate counts are sums over boundaries.
 //!
 //! * **Boundaries** ([`BoundaryId`], [`register_boundary`], the
 //!   [`boundary!`] macro) — interned names for the glue seams between
 //!   components, e.g. `("linux-dev", "ether_tx")` where the FreeBSD
 //!   network stack hands a packet to the encapsulated Linux driver.
-//! * **Event kinds** ([`EventKind`]) — what a charge books: crossings,
+//! * **Event kinds** ([`EventKind`]) — what a booking records: crossings,
 //!   copies (with byte counts), allocations, sleeps, wakeups, IRQs and
 //!   so on.
 //! * **The tracer** ([`Tracer`]) — one ledger: per-boundary counters
@@ -33,10 +33,10 @@
 //! assert_eq!(m.bytes_copied, 1460);
 //! ```
 //!
-//! The cost-model integration lives in `oskit-machine`
-//! (`Machine::charge_copy_at` and friends); every machine owns a
-//! `Tracer` and the bench harnesses render [`TraceReport`]s as
-//! per-boundary breakdown tables (`table1 --boundaries`).
+//! The cost model lives in `oskit-machine`: `Machine::book` prices each
+//! kind and records it here.  Every machine owns a `Tracer`, and the
+//! bench harnesses render [`TraceReport`]s as per-boundary breakdown
+//! tables (`table1 --boundaries`).
 
 #![warn(missing_docs)]
 
@@ -72,9 +72,13 @@ mod tests {
                 (EventKind::Poll { frames: 7 }, |m| {
                     (m.polls, m.poll_frames) = (1, 7)
                 }),
-                (EventKind::Gather { bytes: 1500 }, |m| {
-                    (m.gathers, m.bytes_gathered) = (1, 1500)
-                }),
+                (
+                    EventKind::Gather {
+                        bytes: 1500,
+                        fragments: 2,
+                    },
+                    |m| (m.gathers, m.bytes_gathered) = (1, 1500),
+                ),
                 (EventKind::AllocFailed { bytes: 64 }, |m| m.alloc_failed = 1),
                 (EventKind::CacheHit, |m| m.cache_hits = 1),
                 (EventKind::CacheMiss, |m| m.cache_misses = 1),

@@ -76,15 +76,17 @@ impl BoundaryMetrics {
     }
 
     fn add(&mut self, kind: EventKind) {
+        // Counts arrive as the `usize` their callers hold and are
+        // widened here, once.
         match kind {
             EventKind::Crossing => self.crossings += 1,
             EventKind::Copy { bytes } => {
                 self.copies += 1;
-                self.bytes_copied += bytes;
+                self.bytes_copied += bytes as u64;
             }
             EventKind::Alloc { bytes } => {
                 self.allocs += 1;
-                self.bytes_allocated += bytes;
+                self.bytes_allocated += bytes as u64;
             }
             EventKind::Sleep => self.sleeps += 1,
             EventKind::Wakeup => self.wakeups += 1,
@@ -95,11 +97,11 @@ impl BoundaryMetrics {
             }
             EventKind::Poll { frames } => {
                 self.polls += 1;
-                self.poll_frames += frames;
+                self.poll_frames += frames as u64;
             }
-            EventKind::Gather { bytes } => {
+            EventKind::Gather { bytes, .. } => {
                 self.gathers += 1;
-                self.bytes_gathered += bytes;
+                self.bytes_gathered += bytes as u64;
             }
             EventKind::AllocFailed { .. } => self.alloc_failed += 1,
             EventKind::CacheHit => self.cache_hits += 1,
@@ -108,7 +110,7 @@ impl BoundaryMetrics {
             EventKind::Layer => self.layers += 1,
             EventKind::Checksum { bytes } => {
                 self.checksums += 1;
-                self.bytes_checksummed += bytes;
+                self.bytes_checksummed += bytes as u64;
             }
             EventKind::PacketReceived => self.packets_received += 1,
         }

@@ -48,7 +48,6 @@ fn netstack_plan(seed: u64) -> FaultPlan {
             // window and wedging the handshake forever.
             wedge_period_ns: 47_000_003,
             wedge_duration_ns: 2_000_000,
-            ..NicFaults::default()
         })
         .alloc(AllocFaults {
             fail_per_mille: 1,

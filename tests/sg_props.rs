@@ -2,8 +2,9 @@
 //!
 //! A random payload, fragmented into a random mbuf chain, goes through
 //! the Linux ether glue as a foreign bufio under each driver mode —
-//! copy ladder (default driver, discontiguous chain), fake-mapped
-//! (default driver, contiguous packet), and scatter-gather
+//! copy ladder (default driver, discontiguous chain), mapped (default
+//! driver, contiguous packet, sent from inside its mapping), and
+//! scatter-gather
 //! (`NETIF_F_SG` driver).  In every mode the bytes on the wire must
 //! equal the payload exactly, and the sender's work meter must show the
 //! mode's signature: one copy, no copies, or one gather respectively.
@@ -134,9 +135,9 @@ proptest! {
         }
     }
 
-    /// Fake-mapped mode: default driver, contiguous foreign packet.
-    /// The probe mapping is the transmit mapping — zero copies, zero
-    /// gathers, bytes intact.
+    /// Mapped mode: default driver, contiguous foreign packet, sent from
+    /// inside its mapping.  The probe mapping is the transmit mapping —
+    /// zero copies, zero gathers, bytes intact.
     #[test]
     fn fake_mapped_mode_roundtrip(
         payload in proptest::collection::vec(any::<u8>(), 47..1400),

@@ -53,7 +53,7 @@ if [ "$fast" -eq 0 ]; then
     ./target/release/table3 | diff - tools/golden/table3.txt
     echo "==> ablation, breakdown and figure runs: exit zero (no [FAIL]) and stdout identical to tools/golden"
     for run in "table1 --boundaries --sg --napi --faults:table1-ablations.txt" \
-        "table2 --napi --boundaries:table2-ablations.txt" \
+        "table2 --sg --napi --boundaries:table2-ablations.txt" \
         "table3 --boundaries:table3-boundaries.txt" \
         "fig1:fig1.txt"; do
         cmd=${run%%:*}
