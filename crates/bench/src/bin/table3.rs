@@ -26,17 +26,16 @@
 use oskit::{fileserve_run, ServeMode};
 use oskit_bench::{check, exit_on_failed_checks};
 
+/// The size of the served file: 512 KiB fits the mount-time cache
+/// (1 MiB), so the warm rows are genuinely warm.
+const KIB: usize = 512;
+
 fn main() {
-    let paper = std::env::args().any(|a| a == "--paper");
     let boundaries = std::env::args().any(|a| a == "--boundaries");
-    // Default 512 KiB fits the mount-time cache (1 MiB), so the warm
-    // rows are genuinely warm; --paper serves 4 MiB and lets the cold
-    // row evict as it streams.
-    let kib = if paper { 4096 } else { 512 };
     println!("Table 3: file-serving throughput (Mbit/s of virtual time),");
     println!(
         "one {} KiB file, FFS on IDE -> buffer cache -> TCP -> 100 Mbit/s Ethernet\n",
-        kib
+        KIB
     );
     println!(
         "{:14} {:>8} {:>12} {:>12} {:>8} {:>8}",
@@ -48,7 +47,7 @@ fn main() {
         ServeMode::Sendfile,
     ]
     .map(|mode| {
-        let r = fileserve_run(mode, kib);
+        let r = fileserve_run(mode, KIB);
         let s = r.server.total();
         println!(
             "{:14} {:>8.2} {:>12} {:>12} {:>8} {:>8}",
