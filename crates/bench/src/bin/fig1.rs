@@ -1,13 +1,15 @@
 //! Regenerates paper Figure 1: the structure of the OSKit — native
 //! components and encapsulated donor code beneath a client OS.
 //!
-//! Boots a full kernel (drivers, network stack, file system) so every
-//! component registers itself, then renders the registry.
+//! Renders the components' own descriptors (`oskit::FIGURE_1`), whose
+//! exports are the interface lists their COM objects answer `query` from,
+//! then boots a kernel and probes its Ethernet and IDE drivers for the
+//! list of devices.
 
+use oskit::com::component::render_structure;
+use oskit::linux_dev::fdev_linux_init_ethernet;
 use oskit::machine::Sim;
-use oskit::netbsd_fs::FfsFileSystem;
-use oskit::KernelBuilder;
-use std::net::Ipv4Addr;
+use oskit::{KernelBuilder, FIGURE_1};
 use std::sync::Arc;
 
 fn main() {
@@ -18,18 +20,14 @@ fn main() {
         .boot(&sim);
     let k = Arc::clone(&kernel);
     sim.spawn("init", move || {
-        k.init_networking(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
-        let disks = k.init_disks();
-        if let Some(blkio) = disks.first() {
-            FfsFileSystem::mkfs(blkio).expect("mkfs");
-            let _fs = FfsFileSystem::mount_on(&k.env, blkio).expect("mount");
-        }
+        fdev_linux_init_ethernet(&k.fdev);
+        k.init_disks();
     });
     sim.run();
 
     println!("Figure 1: the structure of the OSKit");
     println!("(shaded = encapsulated off-the-shelf code behind glue)\n");
-    print!("{}", oskit::com::registry::render_structure());
+    print!("{}", render_structure(FIGURE_1));
     println!();
     println!("devices probed:");
     for d in kernel.fdev.all() {

@@ -1,149 +1,43 @@
-//! Regenerates the paper's Table 3 *source-size* breakdown of the kit's
+//! Regenerates paper Table 3 (source sizes): the breakdown of the kit's
 //! components, split into native/glue code versus donor-idiom
 //! ("encapsulated") code — the paper's headline structural claim that a
 //! modest amount of native code unlocks a much larger encapsulated mass.
-//! (Formerly the `table3` binary; the `table3` name now belongs to the
-//! file-serving throughput benchmark.)
+//! (The `table3` binary is the file-serving ablation, not a paper table.)
 
-use oskit_bench::{dir_loc, workspace_root};
+use oskit_bench::{dir_loc, file_locs, workspace_root};
 
-struct Row {
-    library: &'static str,
-    description: &'static str,
-    /// Crate directory under `crates/`.
-    dir: &'static str,
-    /// Subdirectories (relative to `src/`) holding donor-idiom code.
-    donor_subdirs: &'static [&'static str],
-}
-
-const ROWS: &[Row] = &[
-    Row {
-        library: "com",
-        description: "COM interfaces & support",
-        dir: "com",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "machine",
-        description: "Simulated PC substrate",
-        dir: "machine",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "osenv",
-        description: "Execution environment",
-        dir: "osenv",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "boot",
-        description: "Bootstrap support",
-        dir: "boot",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "kern",
-        description: "Kernel support",
-        dir: "kern",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "lmm",
-        description: "List Memory Manager",
-        dir: "lmm",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "amm",
-        description: "Address Map Manager",
-        dir: "amm",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "c",
-        description: "Minimal C library",
-        dir: "clib",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "memdebug",
-        description: "Malloc debugging",
-        dir: "memdebug",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "gdb",
-        description: "GDB remote stub",
-        dir: "gdb",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "fdev",
-        description: "Device driver support",
-        dir: "fdev",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "diskpart",
-        description: "Disk partitioning",
-        dir: "diskpart",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "fsread",
-        description: "File system reading",
-        dir: "fsread",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "exec",
-        description: "Program loading",
-        dir: "exec",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "trace",
-        description: "Observability substrate",
-        dir: "trace",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "fault",
-        description: "Fault injection",
-        dir: "fault",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "bufcache",
-        description: "Shared buffer cache",
-        dir: "bufcache",
-        donor_subdirs: &[],
-    },
-    Row {
-        library: "linux_dev",
-        description: "Linux drivers & support",
-        dir: "linux-dev",
-        donor_subdirs: &["linux"],
-    },
-    Row {
-        library: "freebsd_net",
-        description: "FreeBSD network stack",
-        dir: "freebsd-net",
-        donor_subdirs: &["bsd"],
-    },
-    Row {
-        library: "netbsd_fs",
-        description: "NetBSD file system",
-        dir: "netbsd-fs",
-        donor_subdirs: &["ffs"],
-    },
-    Row {
-        library: "oskit (facade)",
-        description: "Kernel builder & experiments",
-        dir: "core",
-        donor_subdirs: &[],
-    },
+/// One row per crate: (library, description, directory under `crates/`,
+/// subdirectories of `src/` holding donor-idiom code).
+#[rustfmt::skip]
+const ROWS: &[(&str, &str, &str, &[&str])] = &[
+    ("com", "COM interfaces & support", "com", &[]),
+    ("machine", "Simulated PC substrate", "machine", &[]),
+    ("osenv", "Execution environment", "osenv", &[]),
+    ("boot", "Bootstrap support", "boot", &[]),
+    ("kern", "Kernel support", "kern", &[]),
+    ("lmm", "List Memory Manager", "lmm", &[]),
+    ("amm", "Address Map Manager", "amm", &[]),
+    ("c", "Minimal C library", "clib", &[]),
+    ("memdebug", "Malloc debugging", "memdebug", &[]),
+    ("gdb", "GDB remote stub", "gdb", &[]),
+    ("fdev", "Device driver support", "fdev", &[]),
+    ("diskpart", "Disk partitioning", "diskpart", &[]),
+    ("fsread", "File system reading", "fsread", &[]),
+    ("exec", "Program loading", "exec", &[]),
+    ("trace", "Observability substrate", "trace", &[]),
+    ("fault", "Fault injection", "fault", &[]),
+    ("bufcache", "Shared buffer cache", "bufcache", &[]),
+    ("linux_dev", "Linux drivers & support", "linux-dev", &["linux"]),
+    ("freebsd_net", "FreeBSD network stack", "freebsd-net", &["bsd"]),
+    ("netbsd_fs", "NetBSD file system", "netbsd-fs", &["ffs"]),
+    ("oskit (facade)", "Kernel builder & experiments", "core", &[]),
 ];
+
+/// Prints one table row; the total is the sum of the three columns.
+fn row(library: &str, description: &str, native: usize, donor: usize, test: usize) {
+    let total = native + donor + test;
+    println!("{library:16} {description:30} {native:>8} {donor:>8} {test:>8} {total:>8}");
+}
 
 fn main() {
     let root = workspace_root();
@@ -156,24 +50,21 @@ fn main() {
         "Library", "Description", "Native", "Donor", "Tests", "Total"
     );
     let (mut tn, mut td, mut tt) = (0, 0, 0);
-    for r in ROWS {
-        let src = root.join("crates").join(r.dir).join("src");
-        let (all_code, all_test) = dir_loc(&src);
-        let mut donor = 0;
-        for sub in r.donor_subdirs {
-            let (c, _) = dir_loc(&src.join(sub));
-            donor += c;
+    for &(library, description, dir, donor_subdirs) in ROWS {
+        let src = root.join("crates").join(dir).join("src");
+        let (mut all_code, mut all_test, mut donor) = (0, 0, 0);
+        for (path, code, test) in file_locs(&src) {
+            all_code += code;
+            all_test += test;
+            if donor_subdirs
+                .iter()
+                .any(|sub| path.starts_with(src.join(sub)))
+            {
+                donor += code;
+            }
         }
         let native = all_code.saturating_sub(donor);
-        println!(
-            "{:16} {:30} {:>8} {:>8} {:>8} {:>8}",
-            r.library,
-            r.description,
-            native,
-            donor,
-            all_test,
-            all_code + all_test
-        );
+        row(library, description, native, donor, all_test);
         tn += native;
         td += donor;
         tt += all_test;
@@ -185,28 +76,12 @@ fn main() {
         ("bench", "Experiment harnesses", "crates/bench"),
     ] {
         let (c, t) = dir_loc(&root.join(dir));
-        println!(
-            "{:16} {:30} {:>8} {:>8} {:>8} {:>8}",
-            name,
-            desc,
-            c,
-            0,
-            t,
-            c + t
-        );
+        row(name, desc, c, 0, t);
         tn += c;
         tt += t;
     }
     println!("{}", "-".repeat(92));
-    println!(
-        "{:16} {:30} {:>8} {:>8} {:>8} {:>8}",
-        "Total",
-        "",
-        tn,
-        td,
-        tt,
-        tn + td + tt
-    );
+    row("Total", "", tn, td, tt);
     println!(
         "\nDonor-idiom share of component code: {:.0}%  (the paper: 230k of 260k",
         100.0 * td as f64 / (tn + td) as f64

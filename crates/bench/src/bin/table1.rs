@@ -24,7 +24,7 @@
 //! The process exits non-zero if any shape check prints `[FAIL]`.
 
 use oskit::machine::{AllocFaults, FaultPlan, IrqFaults, NicFaults};
-use oskit::{ttcp_run_faulted, ttcp_run_mixed, NetConfig};
+use oskit::{ttcp_run_faulted, NetConfig, TtcpResult};
 use oskit_bench::{check, exit_on_failed_checks};
 
 fn main() {
@@ -40,11 +40,22 @@ fn main() {
         "{} blocks x {} B over simulated 100 Mbit/s Ethernet\n",
         blocks, bs
     );
+    // A Send run pairs `cfg` with a FreeBSD receiver, a Receive run a
+    // FreeBSD sender with `cfg`.
+    let run = |cfg: NetConfig, plan: Option<FaultPlan>| {
+        let bsd = NetConfig::freebsd();
+        (
+            ttcp_run_faulted(cfg, bsd, blocks, bs, plan),
+            ttcp_run_faulted(bsd, cfg, blocks, bs, plan),
+        )
+    };
+    let ablation_row = |name: &str, send: &TtcpResult, recv: &TtcpResult| {
+        println!("{name:18} {:>10.2} {:>10.2}", send.mbit_s, recv.mbit_s);
+    };
     println!("{:10} {:>10} {:>10}", "", "Send", "Receive");
     let mut rows = Vec::new();
     for cfg in [NetConfig::linux(), NetConfig::freebsd(), NetConfig::oskit()] {
-        let send = ttcp_run_mixed(cfg, NetConfig::freebsd(), blocks, bs);
-        let recv = ttcp_run_mixed(NetConfig::freebsd(), cfg, blocks, bs);
+        let (send, recv) = run(cfg, None);
         println!(
             "{:10} {:>10.2} {:>10.2}",
             cfg.name(),
@@ -82,25 +93,10 @@ fn main() {
         // Ablation row, printed after (never instead of) the paper table:
         // the same glue and stack, but the driver advertises NETIF_F_SG and
         // the send path maps mbuf fragments instead of copying them.
-        let send = ttcp_run_mixed(
-            NetConfig::oskit().sg(true),
-            NetConfig::freebsd(),
-            blocks,
-            bs,
-        );
-        let recv = ttcp_run_mixed(
-            NetConfig::freebsd(),
-            NetConfig::oskit().sg(true),
-            blocks,
-            bs,
-        );
+        let cfg = NetConfig::oskit().sg(true);
+        let (send, recv) = run(cfg, None);
         println!("\nSG ablation (--sg, not a paper configuration):");
-        println!(
-            "{:18} {:>10.2} {:>10.2}",
-            NetConfig::oskit().sg(true).name(),
-            send.mbit_s,
-            recv.mbit_s
-        );
+        ablation_row(&cfg.name(), &send, &recv);
         check(
             "SG send recovers the copy penalty (>= 90 Mbit/s)",
             send.mbit_s >= 90.0,
@@ -118,8 +114,7 @@ fn main() {
             "zero bytes copied at linux-dev::ether_tx under SG",
             send.sender
                 .get("linux-dev", "ether_tx")
-                .map(|b| b.bytes_copied == 0 && b.gathers > 0)
-                .unwrap_or(false),
+                .is_some_and(|b| b.bytes_copied == 0 && b.gathers > 0),
         );
         if boundaries {
             println!("\nper-boundary breakdown (OSKit SG sender, send path):");
@@ -131,25 +126,10 @@ fn main() {
         // Receive-path ablation, printed after (never instead of) the
         // paper table: same stack, same glue, but the NIC coalesces rx
         // interrupts and the driver drains the ring with budgeted polls.
-        let send = ttcp_run_mixed(
-            NetConfig::oskit().napi(true),
-            NetConfig::freebsd(),
-            blocks,
-            bs,
-        );
-        let recv = ttcp_run_mixed(
-            NetConfig::freebsd(),
-            NetConfig::oskit().napi(true),
-            blocks,
-            bs,
-        );
+        let cfg = NetConfig::oskit().napi(true);
+        let (send, recv) = run(cfg, None);
         println!("\nNAPI ablation (--napi, not a paper configuration):");
-        println!(
-            "{:18} {:>10.2} {:>10.2}",
-            NetConfig::oskit().napi(true).name(),
-            send.mbit_s,
-            recv.mbit_s
-        );
+        ablation_row(&cfg.name(), &send, &recv);
         let base = rows[2].2.receiver.total(); // Default OSKit, receive run.
         let r = recv.receiver.total();
         let frames = r.packets_received;
@@ -191,15 +171,9 @@ fn main() {
         // single-feature blocks: the builder composes both knobs on
         // one driver — gathered transmit and polled receive at once.
         let cfg = NetConfig::oskit().sg(true).napi(true);
-        let send = ttcp_run_mixed(cfg, NetConfig::freebsd(), blocks, bs);
-        let recv = ttcp_run_mixed(NetConfig::freebsd(), cfg, blocks, bs);
+        let (send, recv) = run(cfg, None);
         println!("\nstacked ablation (--sg --napi, features compose):");
-        println!(
-            "{:18} {:>10.2} {:>10.2}",
-            cfg.name(),
-            send.mbit_s,
-            recv.mbit_s
-        );
+        ablation_row(&cfg.name(), &send, &recv);
         let (s, r) = (send.sender.total(), recv.receiver.total());
         check(
             "stacked sender still gathers instead of copying",
@@ -235,25 +209,9 @@ fn main() {
                 atomic_fail_per_mille: 2,
             })
             .irq(IrqFaults { lose_per_mille: 1 });
-        let send = ttcp_run_faulted(
-            NetConfig::oskit(),
-            NetConfig::freebsd(),
-            blocks,
-            bs,
-            Some(plan),
-        );
-        let recv = ttcp_run_faulted(
-            NetConfig::freebsd(),
-            NetConfig::oskit(),
-            blocks,
-            bs,
-            Some(plan),
-        );
+        let (send, recv) = run(NetConfig::oskit(), Some(plan));
         println!("\nfault ablation (--faults, seed 0x0a51c0de, byte-exact transfers):");
-        println!(
-            "{:18} {:>10.2} {:>10.2}",
-            "OSKit (faults)", send.mbit_s, recv.mbit_s
-        );
+        ablation_row("OSKit (faults)", &send, &recv);
         let injected = send.sender_faults.total_injected() + send.receiver_faults.total_injected();
         check("fault plan actually fired on the send run", injected > 0);
         check(

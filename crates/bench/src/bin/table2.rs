@@ -14,7 +14,7 @@
 //!
 //! The process exits non-zero if any shape check prints `[FAIL]`.
 
-use oskit::{rtcp_run, NetConfig};
+use oskit::{rtcp_run, NetConfig, RtcpResult};
 use oskit_bench::{exit_on_failed_checks, mark};
 
 fn main() {
@@ -31,18 +31,23 @@ fn main() {
         "{:10} {:>10} {:>16} {:>12}",
         "", "RTT (us)", "crossings/RT", "copies/RT"
     );
+    // The paper rows' names take 10 columns, the ablation rows' 18.
+    let row = |width: usize, name: &str, r: &RtcpResult| {
+        let per_rt = |n: u64| n as f64 / round_trips as f64;
+        let total = r.client.total();
+        println!(
+            "{name:width$} {:>10.1} {:>16.1} {:>12.1}",
+            r.rtt_us,
+            per_rt(total.crossings),
+            per_rt(total.copies)
+        );
+    };
     let mut bsd = 0.0;
     let mut oskit = 0.0;
     let mut oskit_breakdown = None;
     for cfg in [NetConfig::linux(), NetConfig::freebsd(), NetConfig::oskit()] {
         let r = rtcp_run(cfg, round_trips);
-        println!(
-            "{:10} {:>10.1} {:>16.1} {:>12.1}",
-            cfg.name(),
-            r.rtt_us,
-            r.client.total().crossings as f64 / round_trips as f64,
-            r.client.total().copies as f64 / round_trips as f64
-        );
+        row(10, &cfg.name(), &r);
         if cfg == NetConfig::freebsd() {
             bsd = r.rtt_us;
         } else if cfg == NetConfig::oskit() {
@@ -71,13 +76,7 @@ fn main() {
     if napi {
         let r = rtcp_run(NetConfig::oskit().napi(true), round_trips);
         println!("\nNAPI ablation (--napi, not a paper configuration):");
-        println!(
-            "{:18} {:>10.1} {:>16.1} {:>12.1}",
-            NetConfig::oskit().napi(true).name(),
-            r.rtt_us,
-            r.client.total().crossings as f64 / round_trips as f64,
-            r.client.total().copies as f64 / round_trips as f64
-        );
+        row(18, &NetConfig::oskit().napi(true).name(), &r);
         let delta = r.rtt_us - oskit;
         println!(
             "  [{}] interrupt mitigation trades latency for IRQ count: +{:.1} us/RT",
@@ -96,13 +95,7 @@ fn main() {
         let cfg = NetConfig::oskit().sg(true).napi(napi);
         let r = rtcp_run(cfg, round_trips);
         println!("\nSG ablation (--sg, not a paper configuration):");
-        println!(
-            "{:18} {:>10.1} {:>16.1} {:>12.1}",
-            cfg.name(),
-            r.rtt_us,
-            r.client.total().crossings as f64 / round_trips as f64,
-            r.client.total().copies as f64 / round_trips as f64
-        );
+        row(18, &cfg.name(), &r);
         if !napi {
             let delta = (r.rtt_us - oskit).abs();
             println!(

@@ -89,39 +89,33 @@ fn main() {
         sendfile
             .server
             .get("freebsd-net", "sockbuf")
-            .map(|b| b.bytes_copied == 0 && b.bytes_gathered >= sendfile.bytes)
-            .unwrap_or(false),
+            .is_some_and(|b| b.bytes_copied == 0 && b.bytes_gathered >= sendfile.bytes),
     );
     check(
         "0 bytes copied at linux-dev::ether_tx on the sendfile path",
         sendfile
             .server
             .get("linux-dev", "ether_tx")
-            .map(|b| b.bytes_copied == 0 && b.gathers > 0)
-            .unwrap_or(false),
+            .is_some_and(|b| b.bytes_copied == 0 && b.gathers > 0),
     );
     check(
         "0 bytes copied at netbsd-fs::fs_read on the sendfile path",
         sendfile
             .server
             .get("netbsd-fs", "fs_read")
-            .map(|b| b.bytes_copied == 0)
-            .unwrap_or(true),
+            .is_none_or(|b| b.bytes_copied == 0),
     );
     check(
         "copy rows pay fs_read + sockbuf + ether_tx in full",
         [
-            "netbsd-fs::fs_read",
-            "freebsd-net::sockbuf",
-            "linux-dev::ether_tx",
+            ("netbsd-fs", "fs_read"),
+            ("freebsd-net", "sockbuf"),
+            ("linux-dev", "ether_tx"),
         ]
         .iter()
-        .all(|s| {
-            let (c, b) = s.split_once("::").unwrap();
-            warm.server
-                .get(c, b)
-                .map(|x| x.bytes_copied >= warm.bytes)
-                .unwrap_or(false)
+        .all(|&(c, b)| {
+            let row = warm.server.get(c, b);
+            row.is_some_and(|x| x.bytes_copied >= warm.bytes)
         }),
     );
     if boundaries {

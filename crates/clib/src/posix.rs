@@ -16,7 +16,7 @@
 
 use oskit_com::interfaces::fs::{Dir, Dirent, File, FileStat, StatChange};
 use oskit_com::interfaces::socket::{Domain, SockAddr, SockType, Socket, SocketFactory};
-use oskit_com::interfaces::stream::{AsyncIo, IoReady, Stream};
+use oskit_com::interfaces::stream::Stream;
 use oskit_com::{Error, Query, Result};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -466,29 +466,6 @@ impl PosixIo {
     pub fn shutdown(&self, fd: i32, how: oskit_com::interfaces::socket::Shutdown) -> Result<()> {
         let s = self.with_socket(fd, |s| Ok(Arc::clone(s)))?;
         s.shutdown(how)
-    }
-
-    /// Non-blocking readiness poll of one descriptor — the primitive a
-    /// `select` is assembled from.
-    pub fn poll_fd(&self, fd: i32) -> Result<IoReady> {
-        self.with_fd(fd, |f| {
-            let asio: Option<Arc<dyn AsyncIo>> = match &f.obj {
-                FdObj::Stream(s) => s.query::<dyn AsyncIo>(),
-                FdObj::Socket(s) => s.query::<dyn AsyncIo>(),
-                FdObj::File(_) | FdObj::Dir(_) => {
-                    // Regular files are always ready.
-                    return Ok(IoReady {
-                        readable: true,
-                        writable: true,
-                        exception: false,
-                    });
-                }
-            };
-            match asio {
-                Some(a) => a.poll(),
-                None => Err(Error::NotImpl),
-            }
-        })
     }
 }
 

@@ -14,17 +14,17 @@
 //! * [`Error`] — the `oskit_error_t` space shared by all components;
 //! * [`interfaces`] — the standard interface suite (`blkio`, `bufio`,
 //!   `netio`, `etherdev`, streams, files/directories, sockets);
-//! * [`registry`] — component self-description, used to regenerate the
+//! * [`component`] — component descriptors, used to regenerate the
 //!   paper's Figure 1.
 //!
 //! Crucially (paper §4.4.3 "No Required Support Code"), interfaces here are
 //! *purely behavioral contracts*: nothing in this crate forces a buffer
 //! representation, an allocator, or a threading model on either side.
 
+pub mod component;
 mod error;
 mod guid;
 mod iunknown;
-pub mod registry;
 
 pub mod interfaces;
 

@@ -21,7 +21,7 @@ use oskit_com::Query;
 use oskit_fdev::{Bus, DeviceRegistry};
 use oskit_freebsd_net::BsdNet;
 use oskit_kern::{BaseEnv, Console, LmmOsenvMem};
-use oskit_machine::{Disk, Machine, Nic, Sim, Uart};
+use oskit_machine::{Disk, Machine, Nic, Sim};
 use oskit_osenv::OsEnv;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -118,7 +118,6 @@ impl KernelBuilder {
             .iter()
             .map(|&s| Disk::new(&machine, s))
             .collect();
-        let uart = Uart::new(&machine);
 
         // Boot loader: a minimal image whose payload is unused; what
         // matters is the MultiBoot info and module placement.
@@ -133,7 +132,7 @@ impl KernelBuilder {
         env.set_mem_allocator(Box::new(LmmOsenvMem::new(&base)));
 
         // Device framework.
-        let bus = Bus::new(nics.clone(), disks.clone(), vec![Arc::clone(&uart)]);
+        let bus = Bus::new(nics.clone(), disks.clone());
         let fdev = DeviceRegistry::new();
 
         // Minimal C library console → the kernel console device.

@@ -61,3 +61,12 @@ pub use oskit_memdebug as memdebug;
 pub use oskit_netbsd_fs as netbsd_fs;
 /// The execution environment components depend on (§4.5).
 pub use oskit_osenv as osenv;
+
+/// The encapsulated components of paper Figure 1, in the order `fig1`
+/// prints them.
+pub const FIGURE_1: &[oskit_com::component::ComponentDesc] = &[
+    oskit_linux_dev::LINUX_ETHERNET,
+    oskit_freebsd_net::FREEBSD_NET,
+    oskit_linux_dev::LINUX_IDE,
+    oskit_netbsd_fs::NETBSD_FS,
+];

@@ -22,7 +22,7 @@
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::interfaces::netio::EtherDev;
 use oskit_com::{IUnknown, Query};
-use oskit_machine::{Disk, Nic, Uart};
+use oskit_machine::{Disk, Nic};
 use oskit_osenv::OsEnv;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -33,22 +33,18 @@ use std::sync::Arc;
 pub struct Bus {
     nics: Vec<Arc<Nic>>,
     disks: Vec<Arc<Disk>>,
-    uarts: Vec<Arc<Uart>>,
     claimed_nics: Mutex<HashSet<usize>>,
     claimed_disks: Mutex<HashSet<usize>>,
-    claimed_uarts: Mutex<HashSet<usize>>,
 }
 
 impl Bus {
     /// Builds a bus over the machine's devices.
-    pub fn new(nics: Vec<Arc<Nic>>, disks: Vec<Arc<Disk>>, uarts: Vec<Arc<Uart>>) -> Bus {
+    pub fn new(nics: Vec<Arc<Nic>>, disks: Vec<Arc<Disk>>) -> Bus {
         Bus {
             nics,
             disks,
-            uarts,
             claimed_nics: Mutex::new(HashSet::new()),
             claimed_disks: Mutex::new(HashSet::new()),
-            claimed_uarts: Mutex::new(HashSet::new()),
         }
     }
 
@@ -69,17 +65,6 @@ impl Bus {
         for (i, d) in self.disks.iter().enumerate() {
             if claimed.insert(i) {
                 return Some((i, Arc::clone(d)));
-            }
-        }
-        None
-    }
-
-    /// Claims the next unclaimed UART, if any.
-    pub fn claim_uart(&self) -> Option<(usize, Arc<Uart>)> {
-        let mut claimed = self.claimed_uarts.lock();
-        for (i, u) in self.uarts.iter().enumerate() {
-            if claimed.insert(i) {
-                return Some((i, Arc::clone(u)));
             }
         }
         None
@@ -246,7 +231,7 @@ mod tests {
         let n1 = Nic::new(&m, [2, 0, 0, 0, 0, 1]);
         let n2 = Nic::new(&m, [2, 0, 0, 0, 0, 2]);
         let env = OsEnv::new(&m);
-        (env, Bus::new(vec![n1, n2], vec![], vec![]))
+        (env, Bus::new(vec![n1, n2], vec![]))
     }
 
     #[test]

@@ -117,16 +117,6 @@ impl Mbuf {
         }
     }
 
-    /// The live bytes as a direct borrow, when the storage is local (a
-    /// small mbuf or a cluster); `None` for external storage, whose bytes
-    /// are only reachable through the foreign bufio's own map protocol.
-    pub fn local_data(&self) -> Option<&[u8]> {
-        match &self.data {
-            MbufData::Small(v) | MbufData::Cluster(v) => Some(&v[self.off..self.off + self.len]),
-            MbufData::Ext(_) => None,
-        }
-    }
-
     /// Trims `n` bytes from the front.
     fn adj_front(&mut self, n: usize) {
         assert!(n <= self.len);

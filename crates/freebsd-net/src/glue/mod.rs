@@ -14,6 +14,7 @@ use crate::bsd::mbuf::{Mbuf, MbufChain};
 use crate::bsd::net::{IfOutput, Ifnet};
 use crate::bsd::stack::BsdNet;
 use bufio::MbufBufIo;
+use oskit_com::component::ComponentDesc;
 use oskit_com::interfaces::blkio::BufIo;
 use oskit_com::interfaces::netio::{EtherDev, FnNetIo, NetIo};
 use oskit_com::interfaces::socket::SocketFactory;
@@ -23,32 +24,34 @@ use oskit_osenv::OsEnv;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+/// The FreeBSD network stack, as paper Figure 1 shows it.  Besides the
+/// socket objects it exports the receive netio that `open_ether_if`
+/// hands the driver and the mbuf bufios it transmits.
+pub const FREEBSD_NET: ComponentDesc = ComponentDesc {
+    name: "freebsd_net",
+    library: "liboskit_freebsd_net",
+    donor: "FreeBSD 2.1.5",
+    exports: &[
+        sockets::BsdSocketFactory::INTERFACES,
+        sockets::BsdComSocket::INTERFACES,
+        FnNetIo::INTERFACES,
+        MbufBufIo::INTERFACES,
+    ],
+    imports: &[
+        "oskit_etherdev",
+        "osenv_mem",
+        "osenv_intr",
+        "osenv_sleep",
+        "osenv_timer",
+    ],
+};
+
 /// `oskit_freebsd_net_init()`: initializes the stack, returning the
 /// component and its socket factory ("returns a 'socket factory'
 /// interface used to create new sockets", §5).
 pub fn oskit_freebsd_net_init(env: &Arc<OsEnv>) -> (Arc<BsdNet>, Arc<dyn SocketFactory>) {
     let net = BsdNet::init(env);
     let factory = sockets::BsdSocketFactory::new(&net);
-    oskit_com::registry::register(oskit_com::registry::ComponentDesc {
-        name: "freebsd_net",
-        library: "liboskit_freebsd_net",
-        provenance: oskit_com::registry::Provenance::Encapsulated {
-            donor: "FreeBSD 2.1.5",
-        },
-        exports: vec![
-            "oskit_socket_factory",
-            "oskit_socket",
-            "oskit_netio",
-            "oskit_bufio",
-        ],
-        imports: vec![
-            "oskit_etherdev",
-            "osenv_mem",
-            "osenv_intr",
-            "osenv_sleep",
-            "osenv_timer",
-        ],
-    });
     (net, factory as Arc<dyn SocketFactory>)
 }
 

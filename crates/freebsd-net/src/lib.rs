@@ -24,4 +24,4 @@ pub use bsd::tcp::{TcpSock, TcpState};
 pub use bsd::udp::UdpSock;
 pub use glue::native::attach_native_if;
 pub use glue::sockets::{BsdComSocket, BsdSocketFactory};
-pub use glue::{ifconfig, open_ether_if, oskit_freebsd_net_init};
+pub use glue::{ifconfig, open_ether_if, oskit_freebsd_net_init, FREEBSD_NET};

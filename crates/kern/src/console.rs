@@ -42,12 +42,6 @@ impl Console {
             self.putchar(b);
         }
     }
-
-    /// Reads one byte if available (non-blocking; the blocking layer
-    /// belongs to the client OS, which knows how it sleeps).
-    pub fn trygetchar(&self) -> Option<u8> {
-        self.uart.getc()
-    }
 }
 
 impl Stream for Console {

@@ -137,12 +137,6 @@ impl PageDir {
         Some(PageDir { pdir })
     }
 
-    /// Adopts an existing directory frame (e.g. from a loaded image).
-    pub fn from_frame(pdir: PhysAddr) -> PageDir {
-        assert_eq!(pdir % PAGE_SIZE, 0);
-        PageDir { pdir }
-    }
-
     /// Reads the raw PDE for virtual address `va`.
     pub fn pde(&self, phys: &PhysMem, va: u32) -> u32 {
         phys.read_u32(self.pdir + (va >> 22) * 4)

@@ -13,7 +13,6 @@
 
 use oskit_machine::trap::{vectors, TrapDisposition, TrapFrame};
 use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Number of trap vectors (exceptions + mapped IRQs).
 pub const NUM_VECTORS: usize = 48;
@@ -132,13 +131,11 @@ impl TrapTable {
     }
 }
 
-/// A shared trap table handle.
-pub type SharedTrapTable = Arc<TrapTable>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn default_handler_is_fatal_for_gp_fault() {

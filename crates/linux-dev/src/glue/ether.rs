@@ -178,7 +178,7 @@ impl EtherDev for LinuxEtherDev {
 com_object!(LinuxEtherDev, me, [EtherDev]);
 
 /// The transmit-side netio.
-struct LinuxTxNetIo {
+pub(crate) struct LinuxTxNetIo {
     me: SelfRef<LinuxTxNetIo>,
     env: Arc<OsEnv>,
     dev: Arc<NetDevice>,

@@ -11,38 +11,43 @@ pub mod ether;
 pub mod sockets;
 
 use crate::linux::netdevice::NetDevice;
+use oskit_com::component::ComponentDesc;
 use oskit_fdev::{Bus, DeviceClass, DeviceNode, DeviceRegistry, Driver};
 use oskit_osenv::OsEnv;
 use std::sync::Arc;
+
+/// The Linux Ethernet driver set, as paper Figure 1 shows it.
+pub const LINUX_ETHERNET: ComponentDesc = ComponentDesc {
+    name: "linux_ethernet",
+    library: "liboskit_linux_dev",
+    donor: "Linux 2.0.29",
+    exports: &[
+        ether::LinuxEtherDev::INTERFACES,
+        ether::LinuxTxNetIo::INTERFACES,
+        ether::SkbBufIo::INTERFACES,
+    ],
+    imports: &["osenv_mem", "osenv_intr", "osenv_sleep", "osenv_timer"],
+};
+
+/// The Linux IDE driver set, as paper Figure 1 shows it.
+pub const LINUX_IDE: ComponentDesc = ComponentDesc {
+    name: "linux_ide",
+    library: "liboskit_linux_dev",
+    donor: "Linux 2.0.29",
+    exports: &[block::LinuxBlkIo::INTERFACES],
+    imports: &["osenv_mem", "osenv_intr", "osenv_sleep", "osenv_timer"],
+};
 
 /// The Linux Ethernet driver set entry point: the paper's
 /// `fdev_linux_init_ethernet()`, "causing all supported drivers to be
 /// linked into the resulting application".
 pub fn fdev_linux_init_ethernet(registry: &DeviceRegistry) {
     registry.register_driver(Arc::new(LinuxEtherDriver));
-    oskit_com::registry::register(oskit_com::registry::ComponentDesc {
-        name: "linux_ethernet",
-        library: "liboskit_linux_dev",
-        provenance: oskit_com::registry::Provenance::Encapsulated {
-            donor: "Linux 2.0.29",
-        },
-        exports: vec!["oskit_etherdev", "oskit_netio", "oskit_bufio"],
-        imports: vec!["osenv_mem", "osenv_intr", "osenv_sleep", "osenv_timer"],
-    });
 }
 
 /// The Linux IDE driver set entry point (`fdev_linux_init_ide()`).
 pub fn fdev_linux_init_ide(registry: &DeviceRegistry) {
     registry.register_driver(Arc::new(LinuxIdeDriver));
-    oskit_com::registry::register(oskit_com::registry::ComponentDesc {
-        name: "linux_ide",
-        library: "liboskit_linux_dev",
-        provenance: oskit_com::registry::Provenance::Encapsulated {
-            donor: "Linux 2.0.29",
-        },
-        exports: vec!["oskit_blkio"],
-        imports: vec!["osenv_mem", "osenv_intr", "osenv_sleep"],
-    });
 }
 
 struct LinuxEtherDriver;

@@ -17,7 +17,7 @@ pub mod linux;
 pub use glue::block::LinuxBlkIo;
 pub use glue::ether::{LinuxEtherDev, SkbBufIo, SkbIo};
 pub use glue::sockets::{LinuxComSocket, LinuxSocketFactory};
-pub use glue::{fdev_linux_init_ethernet, fdev_linux_init_ide};
+pub use glue::{fdev_linux_init_ethernet, fdev_linux_init_ide, LINUX_ETHERNET, LINUX_IDE};
 pub use linux::inet::{LinuxInet, LinuxSock};
 pub use linux::netdevice::{NetDevice, NETIF_F_NAPI, NETIF_F_SG};
 pub use linux::skbuff::SkBuff;

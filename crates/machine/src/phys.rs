@@ -92,11 +92,6 @@ impl PhysMem {
         u16::from_le_bytes(b)
     }
 
-    /// Writes a little-endian `u16`.
-    pub fn write_u16(&self, addr: PhysAddr, value: u16) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
     /// Reads one byte.
     pub fn read_u8(&self, addr: PhysAddr) -> u8 {
         let mut b = [0u8; 1];

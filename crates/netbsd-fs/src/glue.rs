@@ -12,16 +12,26 @@
 
 use crate::ffs::fs::FsCore;
 use crate::ffs::ondisk::{mode, DiskDirent, ROOT_INO};
+use oskit_com::component::ComponentDesc;
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::interfaces::fs::{
     check_component, Dir, Dirent, File, FileBufIo, FileExtent, FileStat, FileSystem, FileType,
     FsStat, StatChange,
 };
-use oskit_com::{com_object, new_com, Error, IUnknown, Query, Result, SelfRef};
+use oskit_com::{com_object, new_com, ComInterface, Error, Guid, IUnknown, Query, Result, SelfRef};
 
 use oskit_machine::{boundary, EventKind, Sim};
 use oskit_osenv::{OsEnv, ProcessLock};
 use std::sync::Arc;
+
+/// The NetBSD file system, as paper Figure 1 shows it.
+pub const NETBSD_FS: ComponentDesc = ComponentDesc {
+    name: "netbsd_fs",
+    library: "liboskit_netbsd_fs",
+    donor: "NetBSD 1.2",
+    exports: &[FfsFileSystem::INTERFACES, FfsNode::INTERFACES],
+    imports: &["oskit_blkio", "osenv_mem", "osenv_sleep"],
+};
 
 /// Shared mount state.
 struct Mount {
@@ -77,15 +87,6 @@ impl FfsFileSystem {
     /// component lock and crossings are charged.
     pub fn mount_on(env: &Arc<OsEnv>, dev: &Arc<dyn BlkIo>) -> Result<Arc<FfsFileSystem>> {
         let core = FsCore::mount(dev, Some(Arc::clone(&env.machine)))?;
-        oskit_com::registry::register(oskit_com::registry::ComponentDesc {
-            name: "netbsd_fs",
-            library: "liboskit_netbsd_fs",
-            provenance: oskit_com::registry::Provenance::Encapsulated {
-                donor: "NetBSD 1.2",
-            },
-            exports: vec!["oskit_filesystem", "oskit_dir", "oskit_file"],
-            imports: vec!["oskit_blkio", "osenv_mem", "osenv_sleep"],
-        });
         Ok(new_com(
             FfsFileSystem {
                 me: SelfRef::new(),
@@ -431,13 +432,19 @@ impl FileBufIo for FfsNode {
     }
 }
 
+impl FfsNode {
+    /// Every interface a node can answer besides `IUnknown`; which of them
+    /// a given node answers depends on its inode type (see `query_any`).
+    pub const INTERFACES: &'static [(&'static str, Guid)] =
+        oskit_com::interface_list!(File, Dir, FileBufIo, FfsIdent);
+}
+
 // `query_any` is hand-written: a node answers the `Dir` interface only
 // when its inode really is a directory, and the buffer-grained read
 // extension (`FileBufIo`) only for regular files — interface presence
 // *is* the type probe here (paper §4.4.2 "safe downcasting").
 impl IUnknown for FfsNode {
-    fn query_any(&self, iid: &oskit_com::Guid) -> Option<oskit_com::AnyRef> {
-        use oskit_com::ComInterface;
+    fn query_any(&self, iid: &Guid) -> Option<oskit_com::AnyRef> {
         let me: Arc<Self> = self.me.get();
         if *iid == oskit_com::IUNKNOWN_IID {
             return Some(oskit_com::AnyRef::new::<dyn IUnknown>(me));
@@ -466,14 +473,8 @@ impl IUnknown for FfsNode {
         None
     }
 
-    fn interfaces(&self) -> &'static [(&'static str, oskit_com::Guid)] {
-        const LIST: [(&str, oskit_com::Guid); 4] = [
-            ("oskit_file", oskit_com::oskit_iid(0x88)),
-            ("oskit_dir", oskit_com::oskit_iid(0x89)),
-            ("oskit_file_bufio", oskit_com::oskit_iid(0x8e)),
-            ("netbsd_fs_ident", oskit_com::oskit_iid(0xB0)),
-        ];
-        &LIST
+    fn interfaces(&self) -> &'static [(&'static str, Guid)] {
+        Self::INTERFACES
     }
 }
 

@@ -28,4 +28,4 @@ pub mod glue;
 pub use ffs::fs::FsCore;
 pub use ffs::fsck::{fsck, Finding};
 pub use ffs::ondisk::{Superblock, BLOCK_SIZE, ROOT_INO};
-pub use glue::{FfsFileSystem, FfsNode};
+pub use glue::{FfsFileSystem, FfsNode, NETBSD_FS};

@@ -4,9 +4,10 @@
 
 use oskit_com::interfaces::blkio::{BlkIo, VecBufIo};
 use oskit_com::interfaces::fs::{Dir, File, FileSystem, FileType, StatChange};
-use oskit_com::{Error, Query};
-use oskit_netbsd_fs::{FfsFileSystem, BLOCK_SIZE};
+use oskit_com::{oskit_iid, Error, Guid, IUnknown, Query};
+use oskit_netbsd_fs::{FfsFileSystem, FfsNode, BLOCK_SIZE};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn fresh() -> Arc<FfsFileSystem> {
@@ -26,6 +27,25 @@ fn files_query_as_file_but_not_dir() {
     let d = root.mkdir("subdir", 0o755).unwrap();
     let d_as_file = d.query::<dyn File>().unwrap();
     assert!(d_as_file.query::<dyn Dir>().is_some(), "a dir is both");
+}
+
+/// Every OSKit IID `obj` answers besides `IUnknown` (each OSKit IID is
+/// `oskit_iid(seq)` for a one-byte `seq`).
+fn answered<T: IUnknown + ?Sized>(obj: &T) -> BTreeSet<Guid> {
+    (0..=0xff)
+        .map(oskit_iid)
+        .filter(|iid| obj.query_any(iid).is_some())
+        .collect()
+}
+
+#[test]
+fn node_interface_list_is_what_live_nodes_answer() {
+    let fs = fresh();
+    let root = fs.getroot().unwrap();
+    let file = root.create("plain.txt", true, 0o644).unwrap();
+    let listed: BTreeSet<Guid> = FfsNode::INTERFACES.iter().map(|&(_, iid)| iid).collect();
+    assert_eq!(&answered(&*root) | &answered(&*file), listed);
+    assert_eq!(root.interfaces(), FfsNode::INTERFACES);
 }
 
 #[test]

@@ -267,11 +267,6 @@ impl OsEnv {
         IrqGuard::new(&self.machine.irq)
     }
 
-    /// Whether interrupts are currently enabled.
-    pub fn intr_enabled(&self) -> bool {
-        self.machine.irq.enabled()
-    }
-
     // --- Sleep/wakeup (paper §4.7.6) ---
 
     /// Creates a sleep record bound to this environment.

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example ttcp`
 
-use oskit::{ttcp_run_mixed, NetConfig};
+use oskit::{ttcp_run, ttcp_run_mixed, NetConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,22 +46,10 @@ fn main() {
     println!();
 
     // The mechanics behind the shape, from the work meters.
-    let oskit = ttcp_run_mixed(
-        NetConfig::oskit(),
-        NetConfig::oskit(),
-        blocks.min(1024),
-        block_size,
-    );
-    let bsd = ttcp_run_mixed(
-        NetConfig::freebsd(),
-        NetConfig::freebsd(),
-        blocks.min(1024),
-        block_size,
-    );
-    println!(
-        "why (per {} MB):",
-        blocks.min(1024) * block_size / (1024 * 1024)
-    );
+    let why_blocks = blocks.min(1024);
+    let oskit = ttcp_run(NetConfig::oskit(), why_blocks, block_size);
+    let bsd = ttcp_run(NetConfig::freebsd(), why_blocks, block_size);
+    println!("why (per {} MB):", why_blocks * block_size / (1024 * 1024));
     let (o, b) = (oskit.sender.total(), bsd.sender.total());
     println!(
         "  OSKit sender copied {} B in {} copies ({} glue crossings);",
@@ -98,7 +86,4 @@ Figure 3: structure of the ttcp/rtcp example kernels
   fdev_ethernet device --- simulated NIC --- 100 Mbit/s wire
 "
     );
-    for c in oskit::com::registry::components() {
-        let _ = c;
-    }
 }

@@ -262,8 +262,8 @@ pub fn effective_cases(config: &ProptestConfig) -> u32 {
 /// Common imports, mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Just,
-        ProptestConfig, Strategy, TestCaseError,
+        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, ProptestConfig, Strategy,
+        TestCaseError,
     };
 }
 
@@ -329,15 +329,6 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)*) => {{
         let (a, b) = (&$a, &$b);
         $crate::prop_assert!(a == b, $($fmt)*);
-    }};
-}
-
-/// Asserts inequality inside a [`proptest!`] body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => {{
-        let (a, b) = (&$a, &$b);
-        $crate::prop_assert!(a != b, "assertion failed: {:?} == {:?}", a, b);
     }};
 }
 

@@ -4,11 +4,13 @@
 use oskit::clib::malloc::{simple_heap, KMalloc};
 use oskit::com::interfaces::blkio::{BlkIo, VecBufIo};
 use oskit::com::interfaces::fs::FileSystem;
-use oskit::com::Query;
+use oskit::com::interfaces::netio::{EtherAddr, EtherDev, FnNetIo, NetIo};
+use oskit::com::{com_object, new_com, Query, SelfRef};
 use oskit::diskpart::{format_mbr, ptype, read_partitions, PartitionBlkIo};
 use oskit::memdebug::{MemDebug, MemStore, VecStore, Violation};
 use oskit::netbsd_fs::FfsFileSystem;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 /// §4.2.2 "Separability Through Dynamic Binding": the file system runs on
 /// *any* blkio — here a partition view over a RAM disk, bound at run time.
@@ -163,28 +165,134 @@ fn gdb_stub_over_kernel_uart() {
     assert_eq!(target.breakpoints(), vec![0x3003]);
 }
 
-/// Figure 1: after a full kernel init, the component registry can render
-/// the system structure, with donor provenance.
-#[test]
-fn component_registry_renders_figure_1() {
-    use oskit::machine::Sim;
-    use std::net::Ipv4Addr;
-    let sim = Sim::new();
-    let (kernel, _, _) = oskit::KernelBuilder::new("fig1")
-        .nic([2, 0, 0, 0, 0, 9])
-        .boot(&sim);
-    kernel.init_networking(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
-    let rendered = oskit::com::registry::render_structure();
-    for needle in [
-        "linux_ethernet",
-        "encapsulated: Linux 2.0.29",
-        "freebsd_net",
-        "encapsulated: FreeBSD 2.1.5",
-        "oskit_socket_factory",
-        "oskit_etherdev",
-    ] {
-        assert!(rendered.contains(needle), "missing {needle}:\n{rendered}");
+type Seen = Arc<Mutex<BTreeSet<oskit::com::Guid>>>;
+
+/// Adds to `seen` every OSKit IID `obj` answers through `query_any`,
+/// besides `IUnknown` (each OSKit IID is `oskit_iid(seq)`, `seq` < 256).
+fn record<T: oskit::com::IUnknown + ?Sized>(seen: &Seen, obj: &T) {
+    let iids = (0..=0xff).map(oskit::com::oskit_iid);
+    seen.lock()
+        .unwrap()
+        .extend(iids.filter(|iid| obj.query_any(iid).is_some()));
+}
+
+/// An `oskit_etherdev` between the FreeBSD stack and the Linux driver that
+/// records the netio and the packets each side hands the other.
+struct Tap {
+    me: SelfRef<Tap>,
+    inner: Arc<dyn EtherDev>,
+    stack: Seen,
+    driver: Seen,
+}
+
+impl EtherDev for Tap {
+    fn open(&self, rx: Arc<dyn NetIo>) -> oskit::com::Result<Arc<dyn NetIo>> {
+        record(&self.stack, &*rx);
+        let driver = Arc::clone(&self.driver);
+        let tx = self.inner.open(FnNetIo::new(move |pkt| {
+            record(&driver, &*pkt);
+            rx.push(pkt)
+        }))?;
+        record(&self.driver, &*tx);
+        let stack = Arc::clone(&self.stack);
+        Ok(FnNetIo::new(move |pkt| {
+            record(&stack, &*pkt);
+            tx.push(pkt)
+        }))
     }
+
+    fn get_addr(&self) -> EtherAddr {
+        self.inner.get_addr()
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+com_object!(Tap, me, [EtherDev]);
+
+/// Figure 1 from the declarations: for each component `fig1` prints, the
+/// exported interfaces are exactly the ones its live objects answer.  One
+/// kernel runs the §5 sequence with a [`Tap`] between stack and driver,
+/// connects to a second kernel, and mounts FFS on its IDE disk.
+#[test]
+fn figure_1_exports_are_what_live_objects_answer() {
+    use oskit::com::component::render_structure;
+    use oskit::com::interfaces::socket::{Domain, SockAddr, SockType};
+    use oskit::freebsd_net::{ifconfig, open_ether_if, oskit_freebsd_net_init};
+    use oskit::machine::{Nic, Sim};
+    use std::net::Ipv4Addr;
+    let mask = Ipv4Addr::new(255, 255, 255, 0);
+    let sim = Sim::new();
+    let (a, nics_a, _) = oskit::KernelBuilder::new("a")
+        .nic([2, 0, 0, 0, 0, 1])
+        .disk(4096)
+        .boot(&sim);
+    let (b, nics_b, _) = oskit::KernelBuilder::new("b")
+        .nic([2, 0, 0, 0, 0, 2])
+        .boot(&sim);
+    Nic::connect(&nics_a[0], &nics_b[0]);
+    b.init_networking(Ipv4Addr::new(10, 0, 0, 2), mask);
+
+    // In `FIGURE_1` order: linux_ethernet, freebsd_net, linux_ide, netbsd_fs.
+    let live: [Seen; 4] = Default::default();
+    oskit::linux_dev::fdev_linux_init_ethernet(&a.fdev);
+    let disks = a.init_disks();
+    let dev = Arc::clone(&a.fdev.ethernet_devices()[0]);
+    record(&live[0], &*dev);
+    let tap = Tap {
+        me: SelfRef::new(),
+        inner: dev,
+        stack: Arc::clone(&live[1]),
+        driver: Arc::clone(&live[0]),
+    };
+    let (net, sf) = oskit_freebsd_net_init(&a.env);
+    let tap: Arc<dyn EtherDev> = new_com(tap, |o| &o.me);
+    ifconfig(
+        &open_ether_if(&net, &tap).unwrap(),
+        Ipv4Addr::new(10, 0, 0, 1),
+        mask,
+    );
+    let seen = live.clone();
+    sim.spawn("client", move || {
+        // Nothing listens: ARP and SYN go out, the ARP reply and RST come in.
+        let s = sf.create(Domain::Inet, SockType::Stream).unwrap();
+        let _ = s.connect(SockAddr::new(Ipv4Addr::new(10, 0, 0, 2), 5001));
+        record(&seen[1], &*sf);
+        record(&seen[1], &*s);
+        let blk = &disks[0];
+        record(&seen[2], &**blk);
+        FfsFileSystem::mkfs(blk).unwrap();
+        let fs = FfsFileSystem::mount_on(&a.env, blk).unwrap();
+        let root = fs.getroot().unwrap();
+        record(&seen[3], &*fs);
+        record(&seen[3], &*root);
+        record(&seen[3], &*root.create("f", true, 0o644).unwrap());
+    });
+    sim.run();
+
+    let rendered = render_structure(oskit::FIGURE_1);
+    let mut wrong = Vec::new();
+    for (desc, live) in oskit::FIGURE_1.iter().zip(&live) {
+        let exported = desc.exported();
+        let printed: BTreeSet<_> = exported.iter().map(|&(_, iid)| iid).collect();
+        if printed != *live.lock().unwrap() {
+            wrong.push(desc.name);
+        }
+        let names: Vec<&str> = exported.iter().map(|&(name, _)| name).collect();
+        let line = format!("    exports: {}\n", names.join(", "));
+        assert!(rendered.contains(&line), "{line}not in\n{rendered}");
+    }
+    let names: Vec<&str> = oskit::FIGURE_1.iter().map(|d| d.name).collect();
+    assert_eq!(
+        names,
+        ["linux_ethernet", "freebsd_net", "linux_ide", "netbsd_fs"]
+    );
+    assert!(
+        wrong.is_empty(),
+        "exports differ from what answers `query`: {wrong:?}"
+    );
 }
 
 /// §6.2.8 "Library Structure": the minimal C library pieces work from a
@@ -192,7 +300,6 @@ fn component_registry_renders_figure_1() {
 #[test]
 fn clib_pieces_work_standalone() {
     use oskit::clib::{vformat, MinConsole};
-    use std::sync::Mutex;
     // printf with only a putchar, no machine, no sim.
     let out = Arc::new(Mutex::new(Vec::new()));
     let o2 = Arc::clone(&out);

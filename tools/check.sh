@@ -18,6 +18,25 @@ echo "==> cargo fmt --check (workspace, then perfbench/, its own workspace)"
 cargo fmt --check
 cargo fmt --check --manifest-path perfbench/Cargo.toml
 
+echo "==> EXPERIMENTS.md: each <!-- golden: NAME --> block equals tools/golden/NAME"
+blocks=$(mktemp -d)
+trap 'rm -rf "$blocks"' EXIT
+# Block n quoting NAME goes to $blocks/n.NAME, without its ``` fences.
+awk -v dir="$blocks" '
+    /^<!-- golden: [^ ]+ -->$/ { n++; out = dir "/" n "." $3; printf "" > out; next }
+    /^<!-- \/golden -->$/ { out = ""; next }
+    out != "" && !/^```/ { print > out }
+' EXPERIMENTS.md
+if [ -z "$(ls "$blocks")" ]; then
+    echo "EXPERIMENTS.md quotes no golden block" >&2
+    exit 1
+fi
+for block in "$blocks"/*; do
+    name=${block##*/}
+    name=${name#*.}
+    diff "tools/golden/$name" "$block" || { echo "FAILED: EXPERIMENTS.md's $name block differs from tools/golden/$name" >&2; exit 1; }
+done
+
 echo "==> cargo test -q (workspace)"
 cargo test -q
 
