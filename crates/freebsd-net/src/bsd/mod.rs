@@ -2,12 +2,14 @@
 //!
 //! Everything here is written in the donor system's idiom (paper §4.7.1
 //! keeps donor code in its own subtree, `freebsd/src`, mirrored here):
-//! mbuf chains, the BSD kernel malloc with its three properties, the
-//! sleep/wakeup event hash, and the classic `ether_input` → `ip_input` →
-//! `tcp_input`/`udp_input` → sockbuf pipeline.
+//! mbuf chains, the sleep/wakeup event hash, and the classic
+//! `ether_input` → `ip_input` → `tcp_input`/`udp_input` → sockbuf
+//! pipeline.
+//!
+//! The BSD kernel `malloc` that §4.7.7 emulates is left out: mbufs and
+//! clusters are heap buffers, and no code here calls `malloc`.
 
 pub mod ip;
-pub mod malloc;
 pub mod mbuf;
 pub mod net;
 pub mod sleep;

@@ -9,7 +9,6 @@
 //! of all the scheduling-related fields in the emulated proc structure
 //! there is now only a sleep record."
 
-use oskit_machine::WakeReason;
 use oskit_osenv::OsEnv;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -43,23 +42,6 @@ impl BsdSleep {
         let rec = env.sleep_create();
         self.table.lock().entry(chan).or_default().push(rec.clone());
         rec.sleep();
-    }
-
-    /// `tsleep` with a timeout; returns whether the sleep was woken (vs
-    /// timed out).  On timeout the record is removed from the hash.
-    pub fn tsleep_timeout(&self, env: &Arc<OsEnv>, chan: WChan, timeout_ns: u64) -> bool {
-        let rec = env.sleep_create();
-        self.table.lock().entry(chan).or_default().push(rec.clone());
-        match rec.sleep_timeout(timeout_ns) {
-            WakeReason::Signaled => true,
-            WakeReason::TimedOut => {
-                // Best-effort removal; a racing wakeup already drained us.
-                if let Some(list) = self.table.lock().get_mut(&chan) {
-                    list.retain(|r| !std::ptr::eq(r as *const _, &rec as *const _));
-                }
-                false
-            }
-        }
     }
 
     /// `wakeup(chan)`: wakes every process sleeping on `chan` (callable
@@ -139,17 +121,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(count.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn tsleep_timeout_expires() {
-        let (sim, env, sl) = setup();
-        let (e, s) = (Arc::clone(&env), Arc::clone(&sl));
-        sim.spawn("t", move || {
-            assert!(!s.tsleep_timeout(&e, 7, 10_000));
-            assert!(e.now() >= 10_000);
-        });
-        sim.run();
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! drivers with BSD networking."
 //!
 //! Layout mirrors the paper's §4.7.1: [`bsd`] is the donor-idiom code
-//! (mbufs, the three-property kernel malloc, the sleep/wakeup hash,
+//! (mbufs, the `tsleep`/`wakeup` hash over osenv sleep records,
 //! ether/ARP/IP/ICMP/UDP/TCP, sockbufs); [`glue`] is the thin OSKit layer
 //! (mbuf↔bufio conversion, the socket factory, netio exchange, and the
-//! monolithic-native baseline binding).
+//! monolithic-native baseline binding).  The BSD kernel `malloc` of
+//! §4.7.7 is left out: no donor code here calls it.
 
 pub mod bsd;
 pub mod glue;

@@ -5,7 +5,6 @@
 //! glue's `blkio` wrappers did.
 
 use crate::linux::blkdev::{Cmd, IdeDrive};
-use crate::linux::sched::CurrentPtr;
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
 use oskit_machine::{boundary, EventKind, SECTOR_SIZE};
@@ -17,7 +16,6 @@ pub struct LinuxBlkIo {
     me: SelfRef<LinuxBlkIo>,
     env: Arc<OsEnv>,
     drive: Arc<IdeDrive>,
-    current: Arc<CurrentPtr>,
 }
 
 impl LinuxBlkIo {
@@ -28,7 +26,6 @@ impl LinuxBlkIo {
                 me: SelfRef::new(),
                 env: Arc::clone(env),
                 drive: Arc::clone(drive),
-                current: Arc::new(CurrentPtr::new()),
             },
             |o| &o.me,
         )
@@ -57,7 +54,6 @@ impl BlkIo for LinuxBlkIo {
         let b = boundary!("linux-dev", "blk_read");
         let _span = self.env.machine.span(b);
         self.env.machine.book(b, EventKind::Crossing);
-        let _entry = super::curproc::GlueEntry::new(&self.current, "oskit_blk_read");
         let size = self.get_size()?;
         if offset >= size {
             return Ok(0);
@@ -77,7 +73,6 @@ impl BlkIo for LinuxBlkIo {
         let b = boundary!("linux-dev", "blk_write");
         let _span = self.env.machine.span(b);
         self.env.machine.book(b, EventKind::Crossing);
-        let _entry = super::curproc::GlueEntry::new(&self.current, "oskit_blk_write");
         let size = self.get_size()?;
         if offset >= size {
             return Err(Error::Inval);
@@ -121,19 +116,19 @@ mod tests {
     use super::*;
     use oskit_machine::{Disk, Machine, Sim};
 
-    fn setup() -> (Arc<Sim>, Arc<LinuxBlkIo>) {
+    fn setup() -> (Arc<Sim>, Arc<Disk>, Arc<LinuxBlkIo>) {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 1 << 20);
         let disk = Disk::new(&m, 64);
         let env = OsEnv::new(&m);
-        let drive = IdeDrive::new("hda", &env, disk);
+        let drive = IdeDrive::new("hda", &env, Arc::clone(&disk));
         m.irq.enable();
-        (sim, LinuxBlkIo::new(&env, &drive))
+        (sim, disk, LinuxBlkIo::new(&env, &drive))
     }
 
     #[test]
     fn figure2_interface_round_trip() {
-        let (sim, blk) = setup();
+        let (sim, _, blk) = setup();
         let b2 = Arc::clone(&blk);
         sim.spawn("io", move || {
             assert_eq!(b2.get_block_size(), SECTOR_SIZE);
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn unaligned_write_preserves_neighbours() {
-        let (sim, blk) = setup();
+        let (sim, _, blk) = setup();
         let b2 = Arc::clone(&blk);
         sim.spawn("io", move || {
             // Lay down a known pattern across two sectors.
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn read_past_end_returns_zero() {
-        let (sim, blk) = setup();
+        let (sim, _, blk) = setup();
         let b2 = Arc::clone(&blk);
         sim.spawn("io", move || {
             let mut buf = [0u8; 16];
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn short_read_at_device_end() {
-        let (sim, blk) = setup();
+        let (sim, _, blk) = setup();
         let b2 = Arc::clone(&blk);
         sim.spawn("io", move || {
             let end = b2.get_size().unwrap();
@@ -192,5 +187,39 @@ mod tests {
             assert_eq!(b2.read(&mut buf, end - 30).unwrap(), 30);
         });
         sim.run();
+    }
+
+    /// Two processes share one device: while A sleeps on the disk in a
+    /// multi-sector read, B enters the glue, writes its own range and
+    /// reads it back.
+    #[test]
+    fn second_process_enters_while_first_sleeps_on_the_disk() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let (sim, disk, blk) = setup();
+        let image: Vec<u8> = (0..SECTOR_SIZE * 8).map(|i| (i * 7 % 251) as u8).collect();
+        disk.load_image(0, &image);
+        let a_done = Arc::new(AtomicBool::new(false));
+        let (b1, done1) = (Arc::clone(&blk), Arc::clone(&a_done));
+        sim.spawn("a", move || {
+            let mut back = vec![0u8; image.len()];
+            assert_eq!(b1.read(&mut back, 0).unwrap(), image.len());
+            assert_eq!(back, image);
+            done1.store(true, SeqCst);
+        });
+        let (b2, done2) = (Arc::clone(&blk), Arc::clone(&a_done));
+        sim.spawn("b", move || {
+            assert!(!done2.load(SeqCst), "A is not asleep on the disk");
+            let data = vec![0x5Au8; SECTOR_SIZE * 2];
+            let at = 32 * SECTOR_SIZE as u64;
+            assert_eq!(b2.write(&data, at).unwrap(), data.len());
+            let mut back = vec![0u8; data.len()];
+            assert_eq!(b2.read(&mut back, at).unwrap(), data.len());
+            assert_eq!(back, data);
+        });
+        sim.run();
+        assert!(a_done.load(SeqCst));
+        let report = blk.env.machine.tracer().metrics();
+        let crossings = |name| report.get("linux-dev", name).unwrap().crossings;
+        assert_eq!((crossings("blk_read"), crossings("blk_write")), (2, 1));
     }
 }

@@ -18,7 +18,6 @@
 //! skbuff, a fragment list built by `SkBuff::fake_sg`.
 
 use crate::linux::netdevice::{NetDevice, NETIF_F_SG};
-use crate::linux::sched::CurrentPtr;
 use crate::linux::skbuff::SkBuff;
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
 use oskit_com::interfaces::netio::{EtherAddr, EtherDev, NetIo};
@@ -120,7 +119,6 @@ pub struct LinuxEtherDev {
     me: SelfRef<LinuxEtherDev>,
     env: Arc<OsEnv>,
     dev: Arc<NetDevice>,
-    current: Arc<CurrentPtr>,
 }
 
 impl LinuxEtherDev {
@@ -131,7 +129,6 @@ impl LinuxEtherDev {
                 me: SelfRef::new(),
                 env: Arc::clone(env),
                 dev: Arc::clone(dev),
-                current: Arc::new(CurrentPtr::new()),
             },
             |o| &o.me,
         )
@@ -160,7 +157,6 @@ impl EtherDev for LinuxEtherDev {
                 me: SelfRef::new(),
                 env: Arc::clone(&self.env),
                 dev: Arc::clone(&self.dev),
-                current: Arc::clone(&self.current),
             },
             |o| &o.me,
         ) as Arc<dyn NetIo>)
@@ -182,7 +178,6 @@ pub(crate) struct LinuxTxNetIo {
     me: SelfRef<LinuxTxNetIo>,
     env: Arc<OsEnv>,
     dev: Arc<NetDevice>,
-    current: Arc<CurrentPtr>,
 }
 
 impl NetIo for LinuxTxNetIo {
@@ -190,9 +185,6 @@ impl NetIo for LinuxTxNetIo {
         let b = boundary!("linux-dev", "ether_tx");
         let _span = self.env.machine.span(b);
         self.env.machine.book(b, EventKind::Crossing);
-        // Entering the encapsulated component: manufacture `current`
-        // (§4.7.5).
-        let _entry = super::curproc::GlueEntry::new(&self.current, "oskit_tx");
         let len = pkt.get_size()? as usize;
         // An oversized packet from a foreign component is the caller's
         // bug, not grounds for taking the kernel down: reject it here

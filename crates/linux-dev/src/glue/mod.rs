@@ -6,7 +6,6 @@
 //! mass of encapsulated code."
 
 pub mod block;
-pub mod curproc;
 pub mod ether;
 pub mod sockets;
 

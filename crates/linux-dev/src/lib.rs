@@ -8,8 +8,9 @@
 //! (skbuffs, the net-device model, the request-queue block layer, a mini
 //! TCP/IP stack used as the monolithic-Linux baseline); [`glue`] holds the
 //! thin OSKit layer that encapsulates it — COM `etherdev`/`blkio` exports,
-//! skbuff↔bufio wrapping (§4.7.3), manufactured `current` (§4.7.5), and
-//! wait-queue emulation over osenv sleep records (§4.7.6).
+//! skbuff↔bufio wrapping (§4.7.3), and wait-queue emulation over osenv
+//! sleep records (§4.7.6).  The paper's manufactured `current` (§4.7.5)
+//! and Linux `kmalloc` are left out: no donor code here calls them.
 
 pub mod glue;
 pub mod linux;

@@ -2,12 +2,12 @@
 //!
 //! Everything in this module tree is written in the donor system's idiom
 //! (paper §4.7.1 keeps donor code in its own subtree, `linux/src`,
-//! mirrored here) and consumes Linux-native services (`current`,
-//! `sleep_on`/`wake_up`, `kmalloc`, jiffies) that the glue emulates.
+//! mirrored here) and consumes the one Linux-native process service the
+//! glue emulates: wait queues (`sleep_on`/`wake_up`).  Skbuffs are heap
+//! buffers, so there is no `kmalloc`; no code reads `current`.
 
 pub mod blkdev;
 pub mod inet;
-pub mod kmalloc;
 pub mod netdevice;
 pub mod sched;
 pub mod skbuff;

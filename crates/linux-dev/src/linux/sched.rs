@@ -1,83 +1,22 @@
-//! Linux-style `current`, wait queues and jiffies — the donor-environment
-//! services the glue must emulate (paper §4.7.5, §4.7.6).
+//! Linux-style wait queues — the donor-environment service the glue
+//! emulates (paper §4.7.6).
 //!
-//! "The imported legacy code is generally riddled with code that makes
-//! assumptions about processes and often accesses the 'current process'
-//! structure directly (e.g., through ... Linux's `current` pointer)."
-//!
-//! The donor-style driver and protocol code *uses* the wait queues
-//! exactly as Linux code would (`sleep_on`, `wake_up`).  The glue
-//! manufactures a `current` task at every entry and parks it around
-//! blocking calls (`glue::curproc`), but no donor code in this tree reads
-//! it: only this module's and the glue's tests call `current()`.
+//! The donor-style driver and protocol code uses the wait queues exactly
+//! as Linux code would (`sleep_on`, `wake_up`), and each sleeper is
+//! bridged to an osenv sleep record.  The paper's other process
+//! emulation, a manufactured `current` (§4.7.5), is left out: no donor
+//! code in this tree reads `current`.
 
+use oskit_machine::WakeReason;
 use oskit_osenv::{OsEnv, OsenvSleep};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// A minimal `struct task_struct`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TaskStruct {
-    /// Process id; glue-manufactured tasks use a synthetic pid.
-    pub pid: i32,
-    /// Command name.
-    pub comm: &'static str,
-}
-
-/// The component-wide `current` pointer.
-///
-/// In Linux this is a per-CPU global; within the encapsulated component it
-/// is component-wide state that the glue saves and restores around
-/// blocking calls (paper §4.7.5: "the glue code must also intercept these
-/// calls and save the `curproc` pointer ... to prevent it from getting
-/// trashed by other concurrent activities").
-pub struct CurrentPtr {
-    task: Mutex<Option<TaskStruct>>,
-}
-
-impl Default for CurrentPtr {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CurrentPtr {
-    /// An unset pointer: donor code that runs before the glue sets it
-    /// would crash, as in the real system.
-    pub fn new() -> CurrentPtr {
-        CurrentPtr {
-            task: Mutex::new(None),
-        }
-    }
-
-    /// `current->...`: reads the current task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no task is set — a glue bug, loudly surfaced.
-    pub fn current(&self) -> TaskStruct {
-        self.task
-            .lock()
-            .clone()
-            .expect("linux code entered without a current task (glue bug)")
-    }
-
-    /// Glue: installs `task` and returns the previous value for restore.
-    pub fn set(&self, task: Option<TaskStruct>) -> Option<TaskStruct> {
-        std::mem::replace(&mut *self.task.lock(), task)
-    }
-
-    /// Whether a task is currently installed.
-    pub fn is_set(&self) -> bool {
-        self.task.lock().is_some()
-    }
-}
 
 /// A Linux wait queue (`struct wait_queue *`), emulated over the osenv
 /// sleep record (§4.7.6): each sleeper gets its own record; `wake_up`
 /// signals them all.
 pub struct WaitQueue {
-    sleepers: Mutex<Vec<OsenvSleep>>,
+    sleepers: Mutex<Vec<Arc<OsenvSleep>>>,
 }
 
 impl Default for WaitQueue {
@@ -94,25 +33,36 @@ impl WaitQueue {
         }
     }
 
+    /// Queues a fresh sleep record for the calling process.
+    fn enqueue(&self, env: &Arc<OsEnv>) -> Arc<OsenvSleep> {
+        let sl = Arc::new(env.sleep_create());
+        self.sleepers.lock().push(Arc::clone(&sl));
+        sl
+    }
+
     /// `sleep_on(&wq)`: blocks the calling process until `wake_up`.
     ///
     /// The caller must not hold spinlocks (i.e. interrupt guards); the
     /// environment enforces that blocking only happens at process level.
     pub fn sleep_on(&self, env: &Arc<OsEnv>) {
-        let sl = env.sleep_create();
-        self.sleepers.lock().push(sl.clone());
-        sl.sleep();
+        self.enqueue(env).sleep();
     }
 
     /// `sleep_on` with a timeout in nanoseconds; returns true if woken,
     /// false on timeout (`interruptible_sleep_on_timeout`).
+    ///
+    /// As Linux 2.0's `__sleep_on` does on return, a timed-out sleeper
+    /// takes its own record off the queue, so a later `wake_up` signals
+    /// no one on its behalf.
     pub fn sleep_on_timeout(&self, env: &Arc<OsEnv>, timeout_ns: u64) -> bool {
-        let sl = env.sleep_create();
-        self.sleepers.lock().push(sl.clone());
-        matches!(
-            sl.sleep_timeout(timeout_ns),
-            oskit_machine::WakeReason::Signaled
-        )
+        let sl = self.enqueue(env);
+        match sl.sleep_timeout(timeout_ns) {
+            WakeReason::Signaled => true,
+            WakeReason::TimedOut => {
+                self.sleepers.lock().retain(|s| !Arc::ptr_eq(s, &sl));
+                false
+            }
+        }
     }
 
     /// `wake_up(&wq)`: wakes every sleeper (callable from interrupt
@@ -129,11 +79,6 @@ impl WaitQueue {
     }
 }
 
-/// The `jiffies` clock: 100 Hz ticks derived from the environment clock.
-pub fn jiffies(env: &OsEnv) -> u64 {
-    env.now() / 10_000_000
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,27 +88,6 @@ mod tests {
         let sim = Sim::new();
         let m = Machine::new(&sim, "m", 1 << 20);
         (sim, OsEnv::new(&m))
-    }
-
-    #[test]
-    #[should_panic(expected = "without a current task")]
-    fn current_without_task_is_a_glue_bug() {
-        let c = CurrentPtr::new();
-        c.current();
-    }
-
-    #[test]
-    fn set_and_restore_current() {
-        let c = CurrentPtr::new();
-        let prev = c.set(Some(TaskStruct {
-            pid: -1,
-            comm: "glue",
-        }));
-        assert!(prev.is_none());
-        assert_eq!(c.current().comm, "glue");
-        let prev = c.set(None);
-        assert_eq!(prev.unwrap().pid, -1);
-        assert!(!c.is_set());
     }
 
     #[test]
@@ -198,15 +122,13 @@ mod tests {
         let (w, e) = (Arc::clone(&wq), Arc::clone(&env));
         sim.spawn("t", move || {
             assert!(!w.sleep_on_timeout(&e, 5_000));
+            assert_eq!(w.waiting(), 0);
+            // Nobody sleeps, so nobody is woken.
+            w.wake_up();
         });
         sim.run();
-    }
-
-    #[test]
-    fn jiffies_track_virtual_time() {
-        let (_sim, env) = env();
-        assert_eq!(jiffies(&env), 0);
-        env.machine.advance(25_000_000); // 25 ms.
-        assert_eq!(jiffies(&env), 2);
+        let report = env.machine.tracer().metrics();
+        let sleep = report.get("osenv", "sleep").unwrap();
+        assert_eq!((sleep.sleeps, sleep.wakeups), (1, 0));
     }
 }
