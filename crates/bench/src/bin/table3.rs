@@ -6,9 +6,10 @@
 //! disk to a native-FreeBSD client over TCP:
 //!
 //! * **cold copy** — `read_at` + `send` over a freshly mounted cache:
-//!   every block pays the disk, then two copies (cache page → caller
-//!   buffer at `fs_read`, caller buffer → mbuf at `sockbuf`) plus the
-//!   non-SG driver's `ether_tx` copy;
+//!   every block pays the disk, whose whole-sector requests land in the
+//!   cache pages with no glue copy at `blk_read`, then the warm row's
+//!   two copies (cache page → caller buffer at `fs_read`, caller buffer
+//!   → mbuf at `sockbuf`) plus the non-SG driver's `ether_tx` copy;
 //! * **warm copy** — the same loop with the cache pre-warmed: the disk
 //!   drops out, the copies stay;
 //! * **warm sendfile** — `File::send_on` over a warm cache with an

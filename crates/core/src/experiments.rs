@@ -453,6 +453,10 @@ pub enum ServeMode {
     /// `File::send_on` over a warm cache with an SG-capable NIC: cache
     /// pages travel from the file system to the wire by reference.
     Sendfile,
+    /// `File::send_on` over a cold cache with an SG-capable NIC: each
+    /// block goes from the platter into a cache page and from there to
+    /// the wire, with no CPU copy on the way.
+    ColdSendfile,
 }
 
 impl ServeMode {
@@ -462,7 +466,18 @@ impl ServeMode {
             ServeMode::ColdCopy => "cold copy",
             ServeMode::WarmCopy => "warm copy",
             ServeMode::Sendfile => "warm sendfile",
+            ServeMode::ColdSendfile => "cold sendfile",
         }
+    }
+
+    /// Whether the transfer starts from a freshly mounted cache.
+    fn cold(self) -> bool {
+        matches!(self, ServeMode::ColdCopy | ServeMode::ColdSendfile)
+    }
+
+    /// Whether the file goes out by `File::send_on` over an SG NIC.
+    fn sendfile(self) -> bool {
+        matches!(self, ServeMode::Sendfile | ServeMode::ColdSendfile)
     }
 }
 
@@ -514,14 +529,14 @@ fn fileserve_in(sim: Arc<Sim>, mode: ServeMode, kib: usize) -> FileServeResult {
 
     // Server hardware: an IDE disk behind the encapsulated Linux driver
     // (sized for the payload plus file-system metadata), and an Ethernet
-    // device — SG-capable in sendfile mode, since the gather path needs
-    // hardware that can follow fragment lists.
+    // device — SG-capable in the sendfile modes, since the gather path
+    // needs hardware that can follow fragment lists.
     let sectors = size / SECTOR_SIZE + 8192;
     let disk = Disk::new(&ms, sectors);
     let drive = oskit_linux_dev::linux::blkdev::IdeDrive::new("hda", &es, disk);
     let blkio = oskit_linux_dev::LinuxBlkIo::new(&es, &drive) as Arc<dyn BlkIo>;
     let dev = NetDevice::new("eth0", &es, Arc::clone(&nsrv));
-    if mode == ServeMode::Sendfile {
+    if mode.sendfile() {
         dev.set_features(oskit_linux_dev::NETIF_F_SG);
     }
     let (snet, sf) = oskit_freebsd_net_init(&es);
@@ -566,7 +581,7 @@ fn fileserve_in(sim: Arc<Sim>, mode: ServeMode, kib: usize) -> FileServeResult {
         let fs = FfsFileSystem::mount_on(&es, &blkio).expect("remount");
         let root = fs.getroot().expect("root");
         let file = root.lookup("payload").expect("lookup");
-        if mode != ServeMode::ColdCopy {
+        if !mode.cold() {
             // Priming pass: pull every block of the file into the cache.
             let mut buf = vec![0u8; 64 * 1024];
             let mut off = 0u64;
@@ -585,25 +600,22 @@ fn fileserve_in(sim: Arc<Sim>, mode: ServeMode, kib: usize) -> FileServeResult {
         ms2.tracer().clear();
         ready_s.signal(&sim_s);
         let (conn, _) = ls.accept().expect("accept");
-        match mode {
-            ServeMode::Sendfile => {
-                let sent = file.send_on(&*conn, 0, size as u64).expect("send_on");
-                assert_eq!(sent, size as u64, "short sendfile");
-            }
-            ServeMode::ColdCopy | ServeMode::WarmCopy => {
-                let mut buf = vec![0u8; 64 * 1024];
-                let mut off = 0u64;
-                loop {
-                    let n = file.read_at(&mut buf, off).expect("read");
-                    if n == 0 {
-                        break;
-                    }
-                    let mut sent = 0;
-                    while sent < n {
-                        sent += conn.send(&buf[sent..n]).expect("send");
-                    }
-                    off += n as u64;
+        if mode.sendfile() {
+            let sent = file.send_on(&*conn, 0, size as u64).expect("send_on");
+            assert_eq!(sent, size as u64, "short sendfile");
+        } else {
+            let mut buf = vec![0u8; 64 * 1024];
+            let mut off = 0u64;
+            loop {
+                let n = file.read_at(&mut buf, off).expect("read");
+                if n == 0 {
+                    break;
                 }
+                let mut sent = 0;
+                while sent < n {
+                    sent += conn.send(&buf[sent..n]).expect("send");
+                }
+                off += n as u64;
             }
         }
         conn.shutdown(Shutdown::Both).expect("shutdown");

@@ -52,8 +52,9 @@ pub struct Request {
     pub sector: u64,
     /// Sector count.
     pub nr_sectors: usize,
-    /// Write payload (writes only).
-    pub data: Option<Vec<u8>>,
+    /// Write payload (writes only), shared with the disk while the
+    /// write is in flight and kept here for a retry.
+    pub data: Option<Arc<[u8]>>,
     /// Completion notification.
     pub wq: Arc<WaitQueue>,
     /// Completion result: read data or error flag.
@@ -142,7 +143,7 @@ impl IdeDrive {
         cmd: Cmd,
         sector: u64,
         nr_sectors: usize,
-        data: Option<Vec<u8>>,
+        data: Option<Arc<[u8]>>,
     ) -> BlkResult {
         let wq = Arc::new(WaitQueue::new());
         let result = Arc::new(Mutex::new(None));
@@ -177,7 +178,7 @@ impl IdeDrive {
         let id = match req.cmd {
             Cmd::Read => self.hw.submit_read(req.sector, req.nr_sectors),
             Cmd::Write => {
-                let data = req.data.clone().expect("write without data");
+                let data = Arc::clone(req.data.as_ref().expect("write without data"));
                 assert_eq!(data.len(), req.nr_sectors * SECTOR_SIZE);
                 self.hw.submit_write(req.sector, data)
             }
@@ -262,7 +263,7 @@ mod tests {
         let d2 = Arc::clone(&d);
         sim.spawn("io", move || {
             let payload = vec![0x77u8; SECTOR_SIZE * 2];
-            d2.rw_blocking(Cmd::Write, 10, 2, Some(payload.clone()))
+            d2.rw_blocking(Cmd::Write, 10, 2, Some(payload[..].into()))
                 .unwrap();
             let got = d2.rw_blocking(Cmd::Read, 10, 2, None).unwrap().unwrap();
             assert_eq!(got, payload);
@@ -290,7 +291,7 @@ mod tests {
             sim.spawn(format!("io{i}"), move || {
                 let sector = (i * 13) % 200;
                 let data = vec![i as u8; SECTOR_SIZE];
-                d2.rw_blocking(Cmd::Write, sector, 1, Some(data.clone()))
+                d2.rw_blocking(Cmd::Write, sector, 1, Some(data[..].into()))
                     .unwrap();
                 let got = d2.rw_blocking(Cmd::Read, sector, 1, None).unwrap().unwrap();
                 assert_eq!(got, data);
@@ -318,7 +319,7 @@ mod tests {
         sim.spawn("io", move || {
             for i in 0..32u64 {
                 let payload = vec![i as u8; SECTOR_SIZE];
-                d2.rw_blocking(Cmd::Write, i, 1, Some(payload.clone()))
+                d2.rw_blocking(Cmd::Write, i, 1, Some(payload[..].into()))
                     .unwrap();
                 let got = d2.rw_blocking(Cmd::Read, i, 1, None).unwrap().unwrap();
                 assert_eq!(got, payload, "sector {i} corrupted under faults");

@@ -119,7 +119,9 @@ impl Disk {
     }
 
     /// Submits a write of `data` (a whole number of sectors) at `sector`.
-    pub fn submit_write(self: &Arc<Self>, sector: u64, data: Vec<u8>) -> u64 {
+    /// The completion shares `data` with the caller, who may keep it to
+    /// reissue the write.
+    pub fn submit_write(self: &Arc<Self>, sector: u64, data: Arc<[u8]>) -> u64 {
         assert_eq!(data.len() % SECTOR_SIZE, 0, "partial-sector write");
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let count = data.len() / SECTOR_SIZE;
@@ -226,7 +228,7 @@ mod tests {
         m.irq.enable();
         let (s2, d3) = (Arc::clone(&sim), Arc::clone(&d));
         in_sim(&sim, move || {
-            d3.submit_write(5, vec![0x5A; SECTOR_SIZE]);
+            d3.submit_write(5, vec![0x5A; SECTOR_SIZE].into());
             d3.submit_read(5, 1);
             rec.wait(&s2);
         });

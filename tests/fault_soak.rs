@@ -35,6 +35,35 @@ fn rows(report: &TraceReport) -> Rows {
     report.nonzero().copied().collect()
 }
 
+/// One row of `rows`, all zero if the seam booked nothing.
+fn row(rows: &Rows, component: &str, name: &str) -> BoundaryMetrics {
+    rows.iter()
+        .find(|b| (b.component, b.name) == (component, name))
+        .copied()
+        .unwrap_or_default()
+}
+
+/// A disk soak's block-glue and sleep rows, printed on its `fault-soak:`
+/// line so that the cross-process replay gate compares them too.
+fn disk_seams(rows: &Rows) -> String {
+    let (read, write) = (
+        row(rows, "linux-dev", "blk_read"),
+        row(rows, "linux-dev", "blk_write"),
+    );
+    let sleep = row(rows, "osenv", "sleep");
+    format!(
+        "linux-dev::blk_read {} crossings {} B copied, \
+         linux-dev::blk_write {} crossings {} B copied, \
+         osenv::sleep {} sleeps {} wakeups",
+        read.crossings,
+        read.bytes_copied,
+        write.crossings,
+        write.bytes_copied,
+        sleep.sleeps,
+        sleep.wakeups
+    )
+}
+
 /// The netstack soak plan: lossy wire, periodic transmitter wedges,
 /// failing interrupt-level allocations, lost IRQs.
 fn netstack_plan(seed: u64) -> FaultPlan {
@@ -298,6 +327,7 @@ fn fileserver_survives_seeded_faults_deterministically() {
     assert_eq!(wk, wk2, "fileserver ledger rows not reproducible");
 
     println!("fault-soak: fileserver {fl:?}");
+    println!("fault-soak: fileserver seams {}", disk_seams(&wk));
 }
 
 /// One faulted cache-soak run: build a file, drop the cache (remount),
@@ -365,6 +395,11 @@ fn cache_fills_retry_under_disk_faults_and_hits_absorb_them() {
     // ...and the block layer under the cache absorbed every one.
     assert!(fl.blk_retries > 0, "cache fills never retried: {fl:?}");
     assert_eq!(fl.blk_hard_failures, 0, "a cache fill failed hard: {fl:?}");
+    // The fills are whole-sector requests into the cache pages, retries
+    // included: the glue never bounced a byte on the way in.
+    let blk_read = row(&wk, "linux-dev", "blk_read");
+    assert!(blk_read.crossings > 0, "the cache never read the disk");
+    assert_eq!(blk_read.bytes_copied, 0, "a cache fill bounced in the glue");
 
     // Replay determinism: the cache must not perturb the fault schedule.
     let (fl2, wk2) = cache_soak_once(0xCAC4_E5EE);
@@ -372,6 +407,7 @@ fn cache_fills_retry_under_disk_faults_and_hits_absorb_them() {
     assert_eq!(wk, wk2, "cache-soak ledger rows not reproducible");
 
     println!("fault-soak: cache {fl:?}");
+    println!("fault-soak: cache seams {}", disk_seams(&wk));
 }
 
 /// With no plan installed, the consultation points are inert: a plain run

@@ -2,7 +2,8 @@
 //! buffer cache, out through the FreeBSD TCP stack and the SG-capable
 //! Linux driver, to a byte-verifying client — with the trace layer
 //! asserting that not one payload byte was copied at the fs→socket or
-//! driver→wire seam.
+//! driver→wire seam.  From a cold cache the disk→cache seam copies
+//! nothing either: whole-sector requests land in the cache pages.
 //!
 //! The interface-discovery contract is exercised from both ends: when
 //! the file exports `oskit_file_bufio` and the socket `oskit_socket_
@@ -58,6 +59,28 @@ fn sendfile_copies_zero_bytes_at_every_glue_seam() {
     // And the cache→caller copy-out seam never ran at all.
     if let Some(fsr) = r.server.get("netbsd-fs", "fs_read") {
         assert_eq!(fsr.bytes_copied, 0, "read_at bounce ran during sendfile");
+    }
+}
+
+/// Platter to wire with no CPU copy: on a cold cache, `send_on` fills
+/// each cache page by a whole-sector disk request, which lands in the
+/// page itself, and then lends the page to the wire.
+#[test]
+fn cold_sendfile_moves_platter_to_wire_with_no_cpu_copy() {
+    let r = fileserve_run(ServeMode::ColdSendfile, 512);
+    // The harness's client byte-verified the payload.
+    assert_eq!(r.bytes, 512 * 1024);
+    assert!(r.server.total().cache_misses > 0, "the cache was not cold");
+    let blk_read = r.server.get("linux-dev", "blk_read").expect("blk_read row");
+    assert!(blk_read.crossings > 0, "the disk was never read");
+    for (component, name) in [
+        ("linux-dev", "blk_read"),
+        ("netbsd-fs", "fs_read"),
+        ("freebsd-net", "sockbuf"),
+        ("linux-dev", "ether_tx"),
+    ] {
+        let copied = r.server.get(component, name).map_or(0, |b| b.bytes_copied);
+        assert_eq!(copied, 0, "{component}::{name} copied {copied} bytes");
     }
 }
 

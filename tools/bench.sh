@@ -12,19 +12,22 @@
 # --trace 0 --seconds <BENCHMARK.json run_seconds>` runs N pairs.  The
 # side that runs first alternates from one pair to the next, counted
 # across workloads and seeds, so with one pair per seed the seeds
-# alternate too.  Defaults: 1 pair, seeds 1-10.
+# alternate too.  Defaults: 1 pair, seeds 1-10.  Then each side runs
+# every workload once more at seed 1 with --trace 1, for the per-layer
+# counts.
 #
 # FILE holds, per workload and end-to-end metric of BENCHMARK.json, each
 # side's median and quartiles over all its runs, how many pairs the
 # working tree won, lost and tied, and every run's values in the order
-# they ran.
+# they ran; beside them, per side and workload, the closing JSON line of
+# the traced run.
 set -eu
 
 cd "$(dirname "$0")/.."
 root=$(pwd)
 
 usage() {
-    sed -n '2,20s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,23s/^# \{0,1\}//p' "$0" >&2
     exit 2
 }
 
@@ -69,14 +72,14 @@ done
 raw=$build/runs.tsv
 : >"$raw"
 
-# run SIDE WORKLOAD SEED PAIR: one perfbench run in SIDE's exported
-# tree; appends the arguments and its closing JSON line to $raw,
-# tab-separated.
+# run SIDE WORKLOAD SEED PAIR TRACE: one perfbench run in SIDE's
+# exported tree; appends the arguments and its closing JSON line to
+# $raw, tab-separated.
 run() {
     eval dir=\$src_$1
     line=$(cd "$dir" && CARGO_TARGET_DIR=$build/$1-target python3 perfbench/run.py \
-        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1) || true
-    printf '%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "$3" "$4" "$line" >>"$raw"
+        --workload "$2" --seed "$3" --seconds "$seconds" --trace "$5" | tail -n 1) || true
+    printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "$3" "$4" "$5" "$line" >>"$raw"
 }
 
 n=0
@@ -86,16 +89,21 @@ for w in $workloads; do
         while [ "$p" -le "$pairs" ]; do
             echo "==> $w seed $s pair $p/$pairs" >&2
             if [ $((n % 2)) -eq 0 ]; then
-                run parent "$w" "$s" "$p"
-                run change "$w" "$s" "$p"
+                run parent "$w" "$s" "$p" 0
+                run change "$w" "$s" "$p" 0
             else
-                run change "$w" "$s" "$p"
-                run parent "$w" "$s" "$p"
+                run change "$w" "$s" "$p" 0
+                run parent "$w" "$s" "$p" 0
             fi
             n=$((n + 1))
             p=$((p + 1))
         done
     done
+done
+for w in $workloads; do
+    echo "==> $w seed 1 traced" >&2
+    run parent "$w" 1 0 1
+    run change "$w" 1 0 1
 done
 
 python3 - "$raw" "$out" "$rev" "$change" "$seconds" "$pairs" <<'EOF'
@@ -108,13 +116,17 @@ raw, out, rev, change, seconds, pairs = sys.argv[1:]
 spec = json.load(open("BENCHMARK.json"))
 metrics = spec["end_to_end"]
 runs = []
+traced = {"parent": {}, "change": {}}
 for order, line in enumerate(open(raw)):
-    side, workload, seed, pair, last = line.rstrip("\n").split("\t", 4)
-    r = {"order": order, "side": side, "workload": workload, "seed": int(seed), "pair": int(pair)}
+    side, workload, seed, pair, trace, last = line.rstrip("\n").split("\t", 5)
     try:
         result = json.loads(last)
     except ValueError:
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    if trace == "1":
+        traced[side][workload] = result
+        continue
+    r = {"order": order, "side": side, "workload": workload, "seed": int(seed), "pair": int(pair)}
     r["correct"] = result["correct"]
     r["attempted"] = result["attempted"]
     r["failed"] = result["failed"]
@@ -185,6 +197,7 @@ doc = {
     "cpus": os.cpu_count(),
     "workloads": summary,
     "runs": runs,
+    "traced": {"command": "perfbench/run.py --trace 1 --seed 1 --seconds %s" % seconds, **traced},
 }
 with open(out, "w") as f:
     json.dump(doc, f, indent=1)
@@ -194,4 +207,10 @@ for w, row in summary.items():
         print("%-11s %-18s parent %-10.6g change %-10.6g %+.2f %%  won %d lost %d tied %d" % (
             w, name, m["parent"]["median"], m["change"]["median"],
             m["median_change_pct"] or 0, m["wins"], m["losses"], m["ties"]))
+for w, result in traced["change"].items():
+    before = traced["parent"].get(w, {}).get("metrics", {})
+    for name, m in result["metrics"].items():
+        if name in before and before[name]["value"] != m["value"]:
+            print("%-11s %-34s traced parent %-14.8g change %.8g" % (
+                w, name, before[name]["value"], m["value"]))
 EOF
